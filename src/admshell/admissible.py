@@ -9,6 +9,7 @@ from .errors import InputError, PropertyViolation
 from .exact import vec_add, vec_sub
 from .affine import (AffineElement, acute_presentation_K, affine_reflection,
                      affine_word, covers_down, reflection_root)
+from .shellcheck import closure_bits
 
 
 def is_spherical(datum, K):
@@ -105,8 +106,11 @@ class AdmissiblePoset:
             self.covers.append((self.top, m, None))
         self.covers.sort(key=lambda c: (c[0], c[1]))
         self._verify_shape()
-        self._down_bits = None
-        self._up_bits = None
+        lower = [[] for _ in range(self.top + 1)]
+        for up, lo, _ in self.covers:
+            lower[up].append(lo)
+        # members are sorted by length and the formal top comes last
+        self._down, _ = closure_bits(range(self.top + 1), lower)
 
     def _verify_shape(self):
         n = len(self.elements)
@@ -133,33 +137,8 @@ class AdmissiblePoset:
 
     # -- order queries -------------------------------------------------------
 
-    def _bits(self):
-        if self._down_bits is None:
-            n = len(self.elements) + 1
-            down = [1 << i for i in range(n)]
-            up = [1 << i for i in range(n)]
-            by_len = sorted(range(len(self.elements)),
-                            key=lambda i: self.elements[i].length)
-            lower_of = [[] for _ in range(n)]
-            upper_of = [[] for _ in range(n)]
-            for u, l, _ in self.covers:
-                lower_of[u].append(l)
-                upper_of[l].append(u)
-            for i in by_len:
-                for l in lower_of[i]:
-                    down[i] |= down[l]
-            for l in lower_of[self.top]:
-                down[self.top] |= down[l]
-            for i in reversed(by_len):
-                for u in upper_of[i]:
-                    up[i] |= up[u]
-            self._down_bits = down
-            self._up_bits = up
-        return self._down_bits, self._up_bits
-
     def leq_ids(self, i, j):
-        down, _ = self._bits()
-        return bool(down[j] >> i & 1)
+        return bool(self._down[j] >> i & 1)
 
     def leq(self, w1, w2):
         return self.leq_ids(self.index[w1], self.index[w2])
@@ -174,22 +153,6 @@ class AdmissiblePoset:
     def translation_of(self, a):
         return AffineElement.translation_of(self.datum,
                                             a.apply_coweight(self.mu))
-
-    def full_leq(self, w1, w2):
-        """Bruhat order inside the full admissible set (both members)."""
-        if w1 == w2:
-            return True
-        if w1.length >= w2.length:
-            return False
-        frontier = {w2}
-        depth = w2.length
-        while depth > w1.length:
-            depth -= 1
-            nxt = set()
-            for w in frontier:
-                nxt.update(u for u, _ in self.full_covers[w])
-            frontier = nxt
-        return w1 in frontier
 
     def element_names(self):
         return [w.name() for w in self.elements] + ["1^"]
@@ -332,8 +295,9 @@ def top_two_layer_report(poset, classify=None):
                 raise PropertyViolation("edge weight is not a coroot")
             if d.root_support(beta) <= set(poset.J):
                 raise PropertyViolation("edge weight lies in the J-span")
+        # w and t differ in length by one, so w <= t iff t covers w
         above = [t for t in translations
-                 if t.length == height and poset.full_leq(w, t)]
+                 if any(u == w for u, _ in poset.full_covers[t])]
         expect = {poset.translation_of(z1), poset.translation_of(z2)}
         if set(above) != expect or len(expect) != 2:
             raise PropertyViolation("covering translations are not the expected two")

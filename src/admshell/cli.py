@@ -1,11 +1,18 @@
 """Command-line front end: build, label, verify, and export.
 
-Subcommands: adm, verify, qbg, cox, shell-order.  Exit codes: 0 success /
-verification passed, 1 verification failed, 2 bad input.
+Subcommands: adm, verify, qbg, cox, shell-order.  Exit codes:
+
+  0  success, or the verification passed
+  1  a verification failed (including a PropertyViolation)
+  2  bad input: an InputError, or an argparse usage error
+
+Weyl group words (--ideal, qbg --wt/--downup/--updown) are "e" or
+space-separated simple reflections s1..sn; the empty word is also e.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InputError, PropertyViolation
@@ -49,6 +56,29 @@ def _parse_K(datum, text):
                  for tok in text.split(",") if tok.strip())
 
 
+def _parse_word(W, text):
+    if text.strip() == "e":
+        return W.identity
+    simples = {f"s{i + 1}": s for i, s in enumerate(W.simples)}
+    w = W.identity
+    for tok in text.split():
+        if tok not in simples:
+            raise InputError(f"bad word token {tok!r}: expected e or "
+                             f"space-separated s1..s{len(simples)}")
+        w = w * simples[tok]
+    return w
+
+
+def _parse_jobs(text):
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be at least 1")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _parse_sigma(datum, text):
     if not text:
         return None
@@ -74,16 +104,12 @@ def _build(args):
     return datum, build_admissible(datum, mu, K)
 
 
-def _labeled_dot(poset, lp):
-    return lp.to_dot()
-
-
 def cmd_adm(args):
     datum, poset = _build(args)
     order = build_label_order(poset)
     lp = label_edges(poset, order)
     if args.out == "dot":
-        _emit(args, _labeled_dot(poset, lp))
+        _emit(args, lp.to_dot())
     elif args.out == "json":
         data = poset.to_json_dict()
         data["label_order"] = order.serialize()
@@ -109,10 +135,7 @@ def cmd_verify(args):
         W = datum.weyl_group()
         chosen = []
         for wtext in args.ideal.split("/"):
-            a = W.identity
-            for tok in wtext.split():
-                if tok != "e":
-                    a = a * W.simple(int(tok[1:]) - 1)
+            a = _parse_word(W, wtext)
             if a not in poset.WJK:
                 raise InputError(f"{wtext!r} does not index a maximal element")
             chosen.append(poset.maximal_ids[poset.WJK.index(a)])
@@ -140,26 +163,15 @@ def cmd_qbg(args):
     datum = build_root_datum(args.datum)
     graph = datum.qbg()
     W = datum.weyl_group()
-
-    def parse_word(text):
-        w = W.identity
-        for tok in text.split():
-            if tok == "e":
-                continue
-            if not tok.startswith("s"):
-                raise InputError(f"bad word token {tok!r}")
-            w = w * W.simple(int(tok[1:]) - 1)
-        return w
-
     if args.wt:
-        u, v = (parse_word(t) for t in args.wt)
+        u, v = (_parse_word(W, t) for t in args.wt)
         d, wt = graph.distance_and_weight(u, v)
         _emit(args, json.dumps({"d": d, "wt": list(wt),
                                 "wt_coroots": datum.format_coweight(wt)},
                                sort_keys=True) + "\n")
         return 0
     if args.downup:
-        u, v = (parse_word(t) for t in args.downup)
+        u, v = (_parse_word(W, t) for t in args.downup)
         path = graph.downup_path(u, v)
         steps = [{"to": W.elements[e.dst].word_str(),
                   "root": datum.format_root(datum.positive_roots[e.root_idx]),
@@ -167,7 +179,7 @@ def cmd_qbg(args):
         _emit(args, json.dumps(steps, sort_keys=True) + "\n")
         return 0
     if args.updown:
-        u, v = (parse_word(t) for t in args.updown)
+        u, v = (_parse_word(W, t) for t in args.updown)
         path = graph.updown_path(u, v)
         steps = [{"to": W.elements[e.dst].word_str(),
                   "root": datum.format_root(datum.positive_roots[e.root_idx]),
@@ -248,8 +260,6 @@ def make_parser():
         sp.add_argument("--out", default="text",
                         choices=["json", "dot", "text"])
         sp.add_argument("--out-file", default="-")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--check", default="fast", choices=["fast", "full"])
 
     sp = sub.add_parser("adm", help="build and print the labeled poset")
     common(sp)
@@ -257,6 +267,10 @@ def make_parser():
 
     sp = sub.add_parser("verify", help="run the full verification pipeline")
     common(sp)
+    sp.add_argument("--jobs", type=_parse_jobs, default=1,
+                    help="worker processes for the dual-EL check, "
+                         "at most the CPU count")
+    sp.add_argument("--check", default="fast", choices=["fast", "full"])
     sp.add_argument("--ideal", default="",
                     help="restrict to the order ideal of these maximal "
                          "elements, words joined by '/'")
@@ -288,7 +302,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.datum.strip().startswith("{"):
-            args.datum = json.loads(args.datum)
+            try:
+                args.datum = json.loads(args.datum)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"--datum is not valid JSON: {exc}") from None
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

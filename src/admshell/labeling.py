@@ -6,7 +6,7 @@ in three steps:
 
 1. collect a finite "relevant" set: every edge label, the K-subsystem, closed
    under the K-reflections and under positive rational pair combinations (with
-   a level cap, logged when it bites);
+   a level cap, recorded in ``LabelOrder.capped`` when it bites);
 2. sort it by a lexicographic sequence of linear-functional ratios.  Ratios of
    linear forms turn positive combinations into convex combinations of key
    vectors, so any such sort respects betweenness; the leading functional is
@@ -231,9 +231,6 @@ class LabelOrder:
 
     def rank(self, label):
         return self._pos[label]
-
-    def labels_ascending(self):
-        return list(self.sequence)
 
     def serialize(self):
         return [format_label(self.datum, lbl) for lbl in self.sequence]

@@ -373,6 +373,10 @@ def build_root_datum(spec):
     if isinstance(spec, RootDatum):
         return spec
     if isinstance(spec, dict):
+        missing = [k for k in ("simple_roots", "simple_coroots")
+                   if k not in spec]
+        if missing:
+            raise InputError(f"explicit root data lack {', '.join(missing)}")
         return RootDatum(spec["simple_roots"], spec["simple_coroots"],
                          name=spec.get("name", "custom"))
     if not isinstance(spec, str):

@@ -25,7 +25,6 @@ class LabeledPoset:
         self.covers = sorted(covers, key=lambda c: (c[0], c[1]))
         self.names = list(names) if names else [str(i) for i in range(n)]
         self.down_adj = [[] for _ in range(n)]
-        self.up_adj = [[] for _ in range(n)]
         ranks_seen = {}
         for up, lo, rank, label in self.covers:
             if self.lengths[up] != self.lengths[lo] + 1:
@@ -34,20 +33,21 @@ class LabeledPoset:
                 raise InputError("two covers of one element share a label")
             ranks_seen[(up, rank)] = lo
             self.down_adj[up].append((lo, rank, label))
-            self.up_adj[lo].append((up, rank))
         for i in range(n):
             self.down_adj[i].sort(key=lambda t: t[1])
-        self._down_bits = None
-        self._up_bits = None
         self._check_shape()
+        self.down, self.up = closure_bits(
+            sorted(range(n), key=lambda i: self.lengths[i]),
+            [[lo for lo, _, _ in adj] for adj in self.down_adj])
 
     def _check_shape(self):
         minimal = [i for i in range(self.n)
                    if not self.down_adj[i] and i != self.top]
         if self.n > 1 and (len(minimal) != 1 or minimal[0] != self.zero):
             raise InputError("poset needs a unique minimal element")
+        covered = {lo for _, lo, _, _ in self.covers}
         orphan = [i for i in range(self.n)
-                  if not self.up_adj[i] and i != self.top]
+                  if i not in covered and i != self.top]
         if orphan:
             raise InputError("element neither covered nor the top")
 
@@ -57,33 +57,13 @@ class LabeledPoset:
                 and self.lengths == other.lengths and self.covers == other.covers
                 and self.names == other.names)
 
-    def bits(self):
-        if self._down_bits is None:
-            down = [1 << i for i in range(self.n)]
-            up = [1 << i for i in range(self.n)]
-            order = sorted(range(self.n), key=lambda i: self.lengths[i])
-            for i in order:
-                for lo, _, _ in self.down_adj[i]:
-                    down[i] |= down[lo]
-            for i in reversed(order):
-                for upp, _ in self.up_adj[i]:
-                    up[i] |= up[upp]
-            self._down_bits = down
-            self._up_bits = up
-        return self._down_bits, self._up_bits
-
     def leq(self, i, j):
-        down, _ = self.bits()
-        return bool(down[j] >> i & 1)
-
-    def length_of_poset(self):
-        return self.lengths[self.top] - self.lengths[self.zero]
+        return bool(self.down[j] >> i & 1)
 
     # -- chains --------------------------------------------------------------
 
     def all_maximal_chains(self, u, v, cap=None):
         """Every maximal chain of [u, v], as edge lists top-down."""
-        _, up = self.bits()
         out = []
 
         def extend(z, acc):
@@ -153,8 +133,7 @@ class LabeledPoset:
         violations = []
         for u in bottoms:
             count, extract, lexmin = self._interval_engine(u)
-            _, up_bits = self.bits()
-            tops = [v for v in range(self.n) if v != u and up_bits[u] >> v & 1]
+            tops = [v for v in _bits_iter(self.up[u]) if v != u]
             for v in tops:
                 checked += 1
                 c = count(v, -1)
@@ -220,15 +199,8 @@ class LabeledPoset:
     # -- recursive coatom orderings -------------------------------------------
 
     def recursive_coatom_check(self):
-        down, _ = self.bits()
-        covers_of = {}
-        for up, lo, rank, _ in self.covers:
-            covers_of.setdefault(up, []).append((lo, rank))
-        direct = {(up, lo) for up, lo, _, _ in self.covers}
+        down, down_adj = self.down, self.down_adj
         memo = {}
-
-        def chain_len(top_el):
-            return self.lengths[top_el] - self.lengths[self.zero]
 
         def attempt(top_el, first):
             key = (top_el, first)
@@ -236,48 +208,38 @@ class LabeledPoset:
             if got is not None:
                 return got
             memo[key] = True  # provisional, cycles impossible in a poset
-            if chain_len(top_el) <= 1:
-                memo[key] = True
+            if self.lengths[top_el] - self.lengths[self.zero] <= 1:
                 return True
-            coatoms = covers_of.get(top_el, [])
-            ordering = sorted(
-                coatoms, key=lambda t: (t[0] not in first, t[1], t[0]))
-            ids = [c for c, _ in ordering]
-            ok = _coatom_conditions(ids, down, direct, attempt)
+            ordering = sorted(down_adj[top_el],
+                              key=lambda t: (t[0] not in first, t[1], t[0]))
+            ok = coatom_conditions([c for c, _, _ in ordering])
             memo[key] = ok
             return ok
 
-        def _coatom_conditions(ids, down, direct, rec):
-            for j, xj in enumerate(ids):
-                earlier = ids[:j]
-                fj = frozenset(z for z, _ in covers_of.get(xj, [])
-                               if any((xi, z) in direct for xi in earlier))
-                if not rec(xj, fj):
+        def coatom_conditions(ids):
+            # Siblings share a length, so a lower cover z of xj lies below an
+            # earlier xi exactly when it is a lower cover of xi.
+            prev = 0
+            for xj in ids:
+                fj = frozenset(z for z, _, _ in down_adj[xj] if prev >> z & 1)
+                if not attempt(xj, fj):
                     return False
-                if j == 0:
-                    continue
-                union_prev = 0
-                for xi in earlier:
-                    union_prev |= down[xi]
-                common = union_prev & down[xj] & ~(1 << xj)
                 reachable = 0
                 for z in fj:
                     reachable |= down[z]
-                if common & ~reachable:
+                if prev & down[xj] & ~(1 << xj) & ~reachable:
                     return False
+                prev |= down[xj]
             return True
 
-        coatoms = covers_of.get(self.top, [])
-        ordering = sorted(coatoms, key=lambda t: (t[1], t[0]))
-        ids = [c for c, _ in ordering]
         ok = attempt(self.top, frozenset())
-        return ok, [self.names[i] for i in ids]
+        return ok, [self.names[lo] for lo, _, _ in down_adj[self.top]]
 
     # -- N-Cohen-Macaulay ------------------------------------------------------
 
     def ncm_check(self, order_hint=None):
         """Recursive purity of the poset without its formal top element."""
-        down, up = self.bits()
+        down, up = self.down, self.up
         full = 0
         for i in range(self.n):
             if i != self.top:
@@ -365,10 +327,9 @@ class LabeledPoset:
                for lo, rank in top_rank.items() if rank <= cut):
             raise InputError("restriction set is not downward closed "
                              "in the label order")
-        down, _ = self.bits()
         keep = 0
         for c in chosen:
-            keep |= down[c]
+            keep |= self.down[c]
         keep_ids = sorted(_bits_iter(keep)) + [self.top]
         remap = {old: i for i, old in enumerate(keep_ids)}
         covers = []
@@ -408,6 +369,23 @@ class LabeledPoset:
                          f'[label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def closure_bits(order, lower):
+    """Down- and up-set bitsets of a graded poset, from its covers.
+
+    order lists every id in increasing length; lower[i] lists the lower covers
+    of i.  Bit j of down[i] is set iff j <= i, bit j of up[i] iff i <= j.
+    """
+    down = [1 << i for i in range(len(lower))]
+    up = list(down)
+    for i in order:
+        for j in lower[i]:
+            down[i] |= down[j]
+    for i in reversed(order):
+        for j in lower[i]:
+            up[j] |= up[i]
+    return down, up
 
 
 def _bits_iter(mask):

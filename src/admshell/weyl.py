@@ -1,6 +1,7 @@
 """Finite Weyl group: elements as lattice actions, Bruhat order, quotients."""
 
 from .errors import InputError
+from .shellcheck import closure_bits
 
 
 def _matvec(M, v):
@@ -226,22 +227,14 @@ class WeylGroup:
     def _bits(self):
         # bruhat_bits[v] has bit u set iff u <= v
         if self._bruhat_bits is None:
-            n = len(self.elements)
-            by_len = sorted(range(n), key=lambda i: self.elements[i].length)
-            bits = [0] * n
-            covers_down = [[] for _ in range(n)]
+            lower = [[] for _ in self.elements]
             for i, w in enumerate(self.elements):
-                lw = w.length
                 for t in self.reflections:
                     u = w * t
-                    if u.length == lw - 1:
-                        covers_down[i].append(self.index[u])
-            for i in by_len:
-                m = 1 << i
-                for j in covers_down[i]:
-                    m |= bits[j]
-                bits[i] = m
-            self._bruhat_bits = bits
+                    if u.length == w.length - 1:
+                        lower[i].append(self.index[u])
+            # _generate lists the elements in increasing length
+            self._bruhat_bits, _ = closure_bits(range(len(lower)), lower)
         return self._bruhat_bits
 
     def bruhat_leq(self, u, v):

@@ -4,7 +4,8 @@ from admshell import (AffineElement, InputError, PropertyViolation,
                       adm_membership, build_admissible, compute_sigma,
                       coxeter_subset, length_zero_rep, top_two_layer_report)
 from admshell.admissible import canonical_K, is_spherical
-from admshell.affine import acute_presentations, simple_reflection
+from admshell.affine import (acute_presentations, bruhat_leq,
+                             simple_reflection)
 from admshell.rootdata import AffineRoot
 from conftest import affine_ball, datum, dominant_mus, pipeline
 
@@ -156,6 +157,30 @@ def test_top_two_a1_regular():
     assert len(report) == 2  # both length-one elements sit below the top layer
     for entry in report:
         assert set(entry["covering_translations"]) == {"t[1]", "t[-1]"}
+
+
+@pytest.mark.parametrize("name, basis, mu, K", [
+    ("GL3", "ambient", (1, 0, 0), ["a1"]),
+    ("A4", "coroot", (1, 1, 1, 1), ["a1", "a2", "a3", "a4"]),
+])
+def test_top_two_covering_translations_match_bruhat_leq(name, basis, mu, K):
+    # the report finds the translations above a next-to-top element among
+    # the upper covers; the frontier descent of bruhat_leq is the oracle
+    d = datum(name)
+    if basis == "coroot":
+        mu = tuple(sum(c * av[i] for c, av in zip(mu, d.simple_coroots))
+                   for i in range(d.rank))
+    poset = build_admissible(d, mu, K)
+    report = top_two_layer_report(poset)
+    height = d.pairing(mu, d.two_rho)
+    by_name = {w.name(): w for w in poset.elements}
+    translations = [poset.translation_of(a) for a in poset.WJ]
+    assert len(report) == sum(1 for w in poset.elements
+                              if w.length == height - 1) > 0
+    for row in report:
+        w = by_name[row["element"]]
+        assert row["covering_translations"] == sorted(
+            t.name() for t in translations if bruhat_leq(w, t))
 
 
 def test_coxeter_subset_membership_oracle():

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from admshell.cli import main
+from admshell.cli import main, make_parser
 
 
 def run(capsys, *argv):
@@ -152,3 +153,50 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(target.read_text())
     assert data["datum"] == "A1"
+
+
+GL3_VERIFY = ("verify", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1")
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("qbg", "--datum", "A2", "--wt", "s0", "s2"), "s0"),
+    (GL3_VERIFY + ("--ideal", "x1"), "x1"),
+    (("qbg", "--datum", "A2", "--wt", "s9", "e"), "s9"),
+    (("qbg", "--datum", "A2", "--wt", "sx", "e"), "sx"),
+    (("qbg", "--datum", "A2", "--downup", "e", "s1 e"), "e"),
+    (GL3_VERIFY + ("--ideal", "s1/x"), "x"),
+])
+def test_bad_word_token_exits_2(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(token) in err
+
+
+def test_datum_bad_json_exits_2(capsys):
+    code, _, err = run(capsys, "qbg", "--datum", "{bad", "--out", "dot")
+    assert code == 2 and err.startswith("error:") and "JSON" in err
+
+
+def test_datum_missing_coroots_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "--datum", '{"simple_roots": [[2]]}',
+                       "--mu", "1")
+    assert code == 2 and "simple_coroots" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("adm", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1", "--jobs", "2"),
+    ("qbg", "--datum", "A2", "--check", "full"),
+    GL3_VERIFY + ("--jobs", "0"),
+    GL3_VERIFY + ("--jobs", "-3"),
+    GL3_VERIFY + ("--jobs", "two"),
+])
+def test_jobs_and_check_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_verify_jobs_clamped_to_cpu_count():
+    args = make_parser().parse_args(list(GL3_VERIFY) + ["--jobs", "100000"])
+    assert args.jobs == (os.cpu_count() or 1)

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       RootLabel, build_admissible, build_label_order,
                       compute_sigma, label_edges)
 from admshell.rootdata import AffineRoot
-from admshell.shellcheck import LabeledPoset
+from admshell.shellcheck import LabeledPoset, closure_bits
 from conftest import datum, pipeline
 
 
@@ -16,6 +17,41 @@ def test_two_element_chain_passes():
     lp = LabeledPoset(2, 1, 0, [0, 1], [(1, 0, 0, "x")], ["bot", "top"])
     rep = lp.verify_dual_el()
     assert rep["status"] == "PASS" and rep["intervals_checked"] == 1
+
+
+@st.composite
+def graded_covers(draw):
+    """Random graded poset: ids shuffled over levels, covers between
+    consecutive levels only.  Returns (ids in level order, lower covers)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    ids = draw(st.permutations(range(sum(sizes))))
+    levels = []
+    for size in sizes:
+        levels.append(ids[:size])
+        ids = ids[size:]
+    lower = [[] for _ in range(sum(sizes))]
+    for below, above in zip(levels, levels[1:]):
+        for i in above:
+            lower[i] = draw(st.lists(st.sampled_from(below), unique=True))
+    return [i for level in levels for i in level], lower
+
+
+@settings(deadline=None)
+@given(graded_covers())
+def test_closure_bits_is_reachability(case):
+    order, lower = case
+    down, up = closure_bits(order, lower)
+    n = len(lower)
+    for i in range(n):
+        below, stack = {i}, [i]
+        while stack:
+            for j in lower[stack.pop()]:
+                if j not in below:
+                    below.add(j)
+                    stack.append(j)
+        assert down[i] == sum(1 << j for j in below)
+        for j in range(n):
+            assert bool(up[j] >> i & 1) == (j in below)
 
 
 def test_gl3_verify_passes(gl3_case):
