@@ -5,6 +5,7 @@ Subcommands: adm, verify, qbg, cox, shell-order.  Exit codes:
   0  success, or the verification passed
   1  a verification failed (including a PropertyViolation)
   2  bad input: an InputError, or an argparse usage error
+  3  internal error: any other exception, reported on one stderr line
 
 Weyl group words (--ideal, qbg --wt/--downup/--updown) are "e" or
 space-separated simple reflections s1..sn; the empty word is also e.
@@ -12,7 +13,6 @@ space-separated simple reflections s1..sn; the empty word is also e.
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import InputError, PropertyViolation
@@ -67,16 +67,6 @@ def _parse_word(W, text):
                              f"space-separated s1..s{len(simples)}")
         w = w * simples[tok]
     return w
-
-
-def _parse_jobs(text):
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("--jobs must be at least 1")
-    return min(jobs, os.cpu_count() or 1)
 
 
 def _parse_sigma(datum, text):
@@ -142,7 +132,7 @@ def cmd_verify(args):
         cut = max(rank for lo, rank, _ in lp.down_adj[lp.top] if lo in chosen)
         prefix = [lo for lo, rank, _ in lp.down_adj[lp.top] if rank <= cut]
         lp = lp.ideal_restriction(prefix)
-    report = lp.verify_dual_el(jobs=args.jobs)
+    report = lp.verify_dual_el()
     ncm_ok = lp.ncm_check()
     coatom_ok, ordering = lp.recursive_coatom_check()
     out = {"dual_el": report,
@@ -170,22 +160,17 @@ def cmd_qbg(args):
                                 "wt_coroots": datum.format_coweight(wt)},
                                sort_keys=True) + "\n")
         return 0
-    if args.downup:
-        u, v = (_parse_word(W, t) for t in args.downup)
-        path = graph.downup_path(u, v)
-        steps = [{"to": W.elements[e.dst].word_str(),
-                  "root": datum.format_root(datum.positive_roots[e.root_idx]),
-                  "kind": "quantum" if e.quantum else "bruhat"} for e in path]
-        _emit(args, json.dumps(steps, sort_keys=True) + "\n")
-        return 0
-    if args.updown:
-        u, v = (_parse_word(W, t) for t in args.updown)
-        path = graph.updown_path(u, v)
-        steps = [{"to": W.elements[e.dst].word_str(),
-                  "root": datum.format_root(datum.positive_roots[e.root_idx]),
-                  "kind": "quantum" if e.quantum else "bruhat"} for e in path]
-        _emit(args, json.dumps(steps, sort_keys=True) + "\n")
-        return 0
+    for words, find_path in ((args.downup, graph.downup_path),
+                             (args.updown, graph.updown_path)):
+        if words:
+            u, v = (_parse_word(W, t) for t in words)
+            steps = [{"to": W.elements[e.dst].word_str(),
+                      "root": datum.format_root(
+                          datum.positive_roots[e.root_idx]),
+                      "kind": "quantum" if e.quantum else "bruhat"}
+                     for e in find_path(u, v)]
+            _emit(args, json.dumps(steps, sort_keys=True) + "\n")
+            return 0
     _emit(args, graph.to_dot())
     return 0
 
@@ -246,7 +231,7 @@ def make_parser():
                     "verification")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mu=True):
+    def common(sp, outs, mu=True):
         sp.add_argument("--datum", required=True,
                         help="preset name (A2, GL3, B2-adjoint, A1xA1) or JSON")
         if mu:
@@ -257,34 +242,31 @@ def make_parser():
             sp.add_argument("--K", default="",
                             help="comma separated simple affine roots, "
                                  "e.g. a1,a0")
-        sp.add_argument("--out", default="text",
-                        choices=["json", "dot", "text"])
+        sp.add_argument("--out", default=outs[0], choices=outs)
         sp.add_argument("--out-file", default="-")
 
     sp = sub.add_parser("adm", help="build and print the labeled poset")
-    common(sp)
+    common(sp, ["text", "json", "dot"])
     sp.set_defaults(fn=cmd_adm)
 
     sp = sub.add_parser("verify", help="run the full verification pipeline")
-    common(sp)
-    sp.add_argument("--jobs", type=_parse_jobs, default=1,
-                    help="worker processes for the dual-EL check, "
-                         "at most the CPU count")
+    common(sp, ["json"])
     sp.add_argument("--check", default="fast", choices=["fast", "full"])
     sp.add_argument("--ideal", default="",
                     help="restrict to the order ideal of these maximal "
                          "elements, words joined by '/'")
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("qbg", help="quantum Bruhat graph queries")
-    common(sp, mu=False)
+    sp = sub.add_parser("qbg", help="quantum Bruhat graph as dot; --wt, "
+                        "--downup and --updown print JSON")
+    common(sp, ["dot"], mu=False)
     sp.add_argument("--wt", nargs=2, metavar=("U", "V"))
     sp.add_argument("--downup", nargs=2, metavar=("U", "V"))
     sp.add_argument("--updown", nargs=2, metavar=("U", "V"))
     sp.set_defaults(fn=cmd_qbg)
 
     sp = sub.add_parser("cox", help="the Coxeter-element sub-poset")
-    common(sp)
+    common(sp, ["json", "dot"])
     sp.add_argument("--sigma", default="",
                     help="permutation of the simple affine roots, "
                          "comma separated images")
@@ -292,7 +274,7 @@ def make_parser():
 
     sp = sub.add_parser("shell-order",
                         help="component order of the maximal elements")
-    common(sp)
+    common(sp, ["text"])
     sp.set_defaults(fn=cmd_shell_order)
     return p
 
@@ -313,6 +295,9 @@ def main(argv=None):
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

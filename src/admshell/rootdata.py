@@ -76,19 +76,61 @@ def _cartan_matrix(series, n):
     return C
 
 
+def _is_finite_type(cartan):
+    """Whether a Cartan matrix A with diagonal 2 is of finite type.
+
+    Off-diagonal entries must be < 0 in symmetric pairs or 0, and some
+    d_i > 0 must make d_i A_ij symmetric.  That matrix must be positive
+    definite (Sylvester's criterion); its leading principal minors are those
+    of A times d_1...d_k, so the exact elimination runs on A itself.  Root
+    generation terminates only for such data.
+    """
+    n = len(cartan)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start], stack = Fraction(1), [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or cartan[i][j] == 0:
+                    continue
+                if cartan[i][j] > 0 or cartan[j][i] >= 0:
+                    return False
+                dj = d[i] * cartan[i][j] / cartan[j][i]
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    return False
+    A = [[Fraction(c) for c in row] for row in cartan]
+    for k in range(n):
+        if A[k][k] <= 0:
+            return False
+        for r in range(k + 1, n):
+            f = A[r][k] / A[k][k]
+            A[r] = [a - f * b for a, b in zip(A[r], A[k])]
+    return True
+
+
 class RootDatum:
     def __init__(self, simple_roots, simple_coroots, name="custom"):
-        simple_roots = [tuple(int(c) for c in v) for v in simple_roots]
-        simple_coroots = [tuple(int(c) for c in v) for v in simple_coroots]
+        for key, rows in (("simple_roots", simple_roots),
+                          ("simple_coroots", simple_coroots)):
+            if not (isinstance(rows, (list, tuple)) and rows and all(
+                    isinstance(row, (list, tuple))
+                    and all(type(c) is int for c in row) for row in rows)):
+                raise InputError(f"{key} must be a non-empty list of lists "
+                                 f"of integers, not {rows!r}")
+        simple_roots = [tuple(v) for v in simple_roots]
+        simple_coroots = [tuple(v) for v in simple_coroots]
         if len(simple_roots) != len(simple_coroots):
             raise InputError("need as many simple coroots as simple roots")
-        if simple_roots:
-            ranks = {len(v) for v in simple_roots} | {len(v) for v in simple_coroots}
-            if len(ranks) != 1:
-                raise InputError("mismatched vector lengths in lattice data")
-            self.rank = ranks.pop()
-        else:
-            raise InputError("need at least one simple root")
+        ranks = {len(v) for v in simple_roots} | {len(v) for v in simple_coroots}
+        if len(ranks) != 1:
+            raise InputError("mismatched vector lengths in lattice data")
+        self.rank = ranks.pop()
         self.name = name
         self.simple_roots = tuple(simple_roots)
         self.simple_coroots = tuple(simple_coroots)
@@ -98,6 +140,9 @@ class RootDatum:
         for i in range(self.nsimple):
             if self.cartan[i][i] != 2:
                 raise InputError("<alpha_i^vee, alpha_i> must equal 2")
+        if not _is_finite_type(self.cartan):
+            raise InputError(f"Cartan matrix {[list(r) for r in self.cartan]} "
+                             "is not of finite type")
         self._build_roots()
         self._build_components()
         self.two_rho = tuple(

@@ -1,14 +1,14 @@
 """Graded labeled posets: chain machinery and shellability verification.
 
 Works on plain integer ids so it can host both the admissible posets and
-hand-built fixtures.  The central routine walks every interval, counts the
-weakly-increasing maximal chains by dynamic programming, and compares the
-unique one against the lexicographically least chain.
+hand-built fixtures.  The central routine makes one pass per bottom u over the
+up-set of u in increasing length.  Each element v gets the number of weakly
+increasing maximal chains of [u, v] through each of its down-edges, and
+whether the greedy (lexicographically least) chain of [u, v] is increasing.
 """
 
 import itertools
 import json
-from multiprocessing import get_context
 
 from .errors import InputError, PropertyViolation
 
@@ -81,95 +81,53 @@ class LabeledPoset:
         extend(v, [])
         return out
 
-    def _interval_engine(self, u):
-        """Per-bottom DP: counting increasing chains down to u."""
-        memo = {}
-        down_adj = self.down_adj
-        leq = self.leq
+    def _chain_counts(self, u, mask):
+        """{v: edges} for v != u in mask (a subset of up[u]) in increasing
+        length; edges are v's down-edges (lo, rank, label, n) into mask, and n
+        counts the weakly increasing maximal chains of [u, v] through it."""
+        table = {}
+        for v in sorted(_bits_iter(mask & ~(1 << u)),
+                        key=self.lengths.__getitem__):
+            edges = []
+            for lo, rank, label in self.down_adj[v]:
+                if mask >> lo & 1:
+                    n = 1 if lo == u else sum(m for _, r, _, m in table[lo]
+                                              if r >= rank)
+                    edges.append((lo, rank, label, n))
+            table[v] = edges
+        return table
 
-        def count(z, r):
-            if z == u:
-                return 1
-            key = (z, r)
-            got = memo.get(key)
-            if got is None:
-                got = 0
-                for lo, rank, _ in down_adj[z]:
-                    if rank >= r and leq(u, lo):
-                        got += count(lo, rank)
-                memo[key] = got
-            return got
-
-        def extract(v):
-            chain = []
-            z, r = v, -1
-            while z != u:
-                step = None
-                for lo, rank, label in down_adj[z]:
-                    if rank >= r and leq(u, lo) and count(lo, rank) > 0:
-                        step = (z, lo, rank, label)
-                        break
-                if step is None:
-                    raise AssertionError("lost the increasing chain")
-                chain.append(step)
-                z, r = step[1], step[2]
-            return chain
-
-        def lexmin(v):
-            chain = []
-            z = v
-            while z != u:
-                lo, rank, label = next((lo, rank, label)
-                                       for lo, rank, label in down_adj[z]
-                                       if leq(u, lo))
-                chain.append((z, lo, rank, label))
-                z = lo
-            return chain
-
-        return count, extract, lexmin
-
-    def _verify_bottoms(self, bottoms):
+    def verify_dual_el(self):
+        """Every interval [u, v] must have one weakly increasing maximal chain,
+        and it must be the least.  The covers of one element have distinct
+        ranks, so the least chain takes the minimum-rank edge at every step."""
         checked = 0
         violations = []
-        for u in bottoms:
-            count, extract, lexmin = self._interval_engine(u)
-            tops = [v for v in _bits_iter(self.up[u]) if v != u]
-            for v in tops:
+        for u in range(self.n):
+            if u == self.top:
+                continue
+            table = self._chain_counts(u, self.up[u])
+            greedy = {}
+            for v, edges in table.items():
+                lo, rank = edges[0][:2]
+                greedy[v] = lo == u or (greedy[lo]
+                                        and rank <= table[lo][0][1])
+            for v in sorted(table):
                 checked += 1
-                c = count(v, -1)
-                bad = None
+                c = sum(e[3] for e in table[v])
                 if c != 1:
                     bad = f"{c} label-increasing maximal chains"
+                elif not greedy[v]:
+                    bad = "the increasing chain is not lexicographically least"
                 else:
-                    inc = extract(v)
-                    lex = lexmin(v)
-                    if inc != lex:
-                        bad = ("the increasing chain is not lexicographically "
-                               "least")
-                if bad is not None:
-                    chains = self.all_maximal_chains(u, v, cap=24)
-                    violations.append({
-                        "w": self.names[u],
-                        "w_prime": self.names[v],
-                        "reason": bad,
-                        "chains": [[e[3] for e in ch] for ch in chains],
-                    })
-        return checked, violations
-
-    def verify_dual_el(self, jobs=1):
-        """Check every interval for the two chain conditions."""
-        bottoms = [u for u in range(self.n) if u != self.top]
-        if jobs and jobs > 1:
-            chunks = [bottoms[i::jobs] for i in range(jobs)]
-            ctx = get_context("fork")
-            global _POOL_POSET
-            _POOL_POSET = self
-            with ctx.Pool(jobs) as pool:
-                parts = pool.map(_pool_verify, chunks)
-            checked = sum(p[0] for p in parts)
-            violations = [v for p in parts for v in p[1]]
-        else:
-            checked, violations = self._verify_bottoms(bottoms)
+                    continue
+                chains = self.all_maximal_chains(u, v, cap=24)
+                violations.append({
+                    "w": self.names[u],
+                    "w_prime": self.names[v],
+                    "reason": bad,
+                    "chains": [[e[3] for e in ch] for ch in chains],
+                })
         violations.sort(key=lambda v: (v["w"], v["w_prime"]))
         return {"status": "PASS" if not violations else "FAIL",
                 "intervals_checked": checked,
@@ -185,16 +143,23 @@ class LabeledPoset:
                          if lo == gateway), None)
         if top_edge is None:
             raise InputError("gateway is not covered by the top element")
-        count, extract, _ = self._interval_engine(w)
         if gateway == w:
             return [top_edge]
         if not self.leq(w, gateway):
             raise InputError("element does not sit below the gateway")
-        c = count(gateway, -1)
+        table = self._chain_counts(w, self.up[w] & self.down[gateway])
+        c = sum(e[3] for e in table[gateway])
         if c != 1:
             raise PropertyViolation(
                 f"interval below the gateway has {c} increasing chains")
-        return [top_edge] + extract(gateway)
+        chain = [top_edge]
+        z, r = gateway, -1
+        while z != w:
+            lo, rank, label, _ = next(e for e in table[z]
+                                      if e[1] >= r and e[3] > 0)
+            chain.append((z, lo, rank, label))
+            z, r = lo, rank
+        return chain
 
     # -- recursive coatom orderings -------------------------------------------
 
@@ -394,9 +359,3 @@ def _bits_iter(mask):
         yield low.bit_length() - 1
         mask ^= low
 
-
-_POOL_POSET = None
-
-
-def _pool_verify(bottoms):
-    return _POOL_POSET._verify_bottoms(bottoms)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from admshell.cli import main, make_parser
+from admshell.cli import main
 
 
 def run(capsys, *argv):
@@ -139,13 +142,6 @@ def test_verify_check_full(capsys):
     assert len(data["top_two"]) == 2
 
 
-def test_verify_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--datum", "GL3", "--mu", "1,0,0",
-                       "--K", "a1", "--jobs", "2", "--out", "json")
-    assert code == 0
-    assert json.loads(out)["dual_el"]["status"] == "PASS"
-
-
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "poset.json"
     code, out, _ = run(capsys, "adm", "--datum", "A1", "--mu", "1",
@@ -189,6 +185,11 @@ def test_datum_missing_coroots_exits_2(capsys):
     GL3_VERIFY + ("--jobs", "0"),
     GL3_VERIFY + ("--jobs", "-3"),
     GL3_VERIFY + ("--jobs", "two"),
+    GL3_VERIFY + ("--jobs", "2"),
+    GL3_VERIFY + ("--out", "text"),
+    ("shell-order", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1",
+     "--out", "json"),
+    ("cox", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1", "--out", "text"),
 ])
 def test_jobs_and_check_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -197,6 +198,43 @@ def test_jobs_and_check_usage_errors(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_verify_jobs_clamped_to_cpu_count():
-    args = make_parser().parse_args(list(GL3_VERIFY) + ["--jobs", "100000"])
-    assert args.jobs == (os.cpu_count() or 1)
+@pytest.mark.parametrize("spec, field", [
+    ('{"simple_roots": 5, "simple_coroots": 5}', "simple_roots"),
+    ('{"simple_roots": [[2.9]], "simple_coroots": [[1]]}', "simple_roots"),
+    ('{"simple_roots": [[2]], "simple_coroots": [[1.2]]}', "simple_coroots"),
+    ('{"simple_roots": [["2"]], "simple_coroots": [[1]]}', "simple_roots"),
+    ('{"simple_roots": "2", "simple_coroots": [[1]]}', "simple_roots"),
+    ('{"simple_roots": [[2]], "simple_coroots": [[true]]}', "simple_coroots"),
+    ('{"simple_roots": [], "simple_coroots": []}', "simple_roots"),
+    ('{"simple_roots": [2], "simple_coroots": [[1]]}', "simple_roots"),
+])
+def test_datum_wrong_shape_exits_2(capsys, spec, field):
+    code, out, err = run(capsys, "verify", "--datum", spec, "--mu", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{field} must be" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def boom(poset):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("admshell.cli.build_label_order", boom)
+    code, out, err = run(capsys, *GL3_VERIFY)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_cli_bytes_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for cmd in ("verify", "adm"):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "admshell.cli", cmd, "--datum", "GL3",
+                 "--mu", "1,0,0", "--K", "a1", "--out", "json"],
+                env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].startswith(b"{")

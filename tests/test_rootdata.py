@@ -144,6 +144,20 @@ def test_bad_data_rejected():
         build_root_datum({"simple_roots": [[2]], "simple_coroots": [[1], [1]]})
 
 
+def test_finite_type_check_rank_two():
+    # every rank-2 Cartan matrix with off-diagonal entries -a, -b in -4..0;
+    # exhaustive, so a wrong check fails here instead of hanging the suite
+    for a in range(5):
+        for b in range(5):
+            spec = {"simple_roots": [[2, -a], [-b, 2]],
+                    "simple_coroots": [[1, 0], [0, 1]]}
+            if a * b <= 3 and (a == 0) == (b == 0):
+                assert build_root_datum(spec).nsimple == 2
+            else:
+                with pytest.raises(InputError, match="not of finite type"):
+                    build_root_datum(spec)
+
+
 def test_explicit_datum_roundtrip():
     d = build_root_datum({"simple_roots": [[2]], "simple_coroots": [[1]],
                           "name": "A1-explicit"})
