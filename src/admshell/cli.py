@@ -118,6 +118,9 @@ def cmd_adm(args):
 
 
 def cmd_verify(args):
+    if args.ideal and args.check == "full":
+        raise InputError("--check full sweeps the whole poset; it cannot be "
+                         "combined with --ideal")
     datum, poset = _build(args)
     order = build_label_order(poset)
     lp = label_edges(poset, order)
@@ -138,7 +141,7 @@ def cmd_verify(args):
     out = {"dual_el": report,
            "ncm": ncm_ok,
            "recursive_coatom": {"ok": coatom_ok, "ordering": ordering}}
-    if args.check == "full" and not args.ideal:
+    if args.check == "full":
         # heavyweight property sweep: gateway data and the top-layer claims
         from .admissible import compute_sigma, top_two_layer_report
         for w in poset.elements:
@@ -231,7 +234,7 @@ def make_parser():
                     "verification")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, outs, mu=True):
+    def common(sp, outs=None, mu=True):
         sp.add_argument("--datum", required=True,
                         help="preset name (A2, GL3, B2-adjoint, A1xA1) or JSON")
         if mu:
@@ -242,7 +245,8 @@ def make_parser():
             sp.add_argument("--K", default="",
                             help="comma separated simple affine roots, "
                                  "e.g. a1,a0")
-        sp.add_argument("--out", default=outs[0], choices=outs)
+        if outs:
+            sp.add_argument("--out", default=outs[0], choices=outs)
         sp.add_argument("--out-file", default="-")
 
     sp = sub.add_parser("adm", help="build and print the labeled poset")
@@ -259,10 +263,13 @@ def make_parser():
 
     sp = sub.add_parser("qbg", help="quantum Bruhat graph as dot; --wt, "
                         "--downup and --updown print JSON")
-    common(sp, ["dot"], mu=False)
-    sp.add_argument("--wt", nargs=2, metavar=("U", "V"))
-    sp.add_argument("--downup", nargs=2, metavar=("U", "V"))
-    sp.add_argument("--updown", nargs=2, metavar=("U", "V"))
+    common(sp, mu=False)
+    # one query, or the graph: --out is the graph's only output format
+    query = sp.add_mutually_exclusive_group()
+    query.add_argument("--out", choices=["dot"])
+    query.add_argument("--wt", nargs=2, metavar=("U", "V"))
+    query.add_argument("--downup", nargs=2, metavar=("U", "V"))
+    query.add_argument("--updown", nargs=2, metavar=("U", "V"))
     sp.set_defaults(fn=cmd_qbg)
 
     sp = sub.add_parser("cox", help="the Coxeter-element sub-poset")

@@ -202,79 +202,54 @@ class LabeledPoset:
 
     # -- N-Cohen-Macaulay ------------------------------------------------------
 
-    def ncm_check(self, order_hint=None):
-        """Recursive purity of the poset without its formal top element."""
-        down, up = self.down, self.up
-        full = 0
-        for i in range(self.n):
-            if i != self.top:
-                full |= 1 << i
-        if order_hint is None:
-            order_hint = [lo for lo, _, _ in self.down_adj[self.top]]
-        hint_pos = {x: i for i, x in enumerate(order_hint)}
-        target = self.lengths[self.top] - self.lengths[self.zero] - 1
+    def ncm_check(self):
+        """N-Cohen-Macaulayness of the poset without its formal top element.
+
+        An order ideal I of rank N passes iff every maximum of I has rank N
+        and the maxima have an order x1, x2, ... in which each
+        (down(x1) | ... | down(x_{j-1})) & down(x_j) passes at rank N - 1.
+        Every ideal visited is an intersection of principal ideals, and the
+        lower covers of an element of an order ideal of a graded poset are its
+        covers in the poset, so each such ideal is pure once its maxima share
+        a rank; no chain is enumerated.  The coatoms' label-rank order is
+        tried first; the search over all orders is exhaustive for at most 6
+        maxima and tries only that order above.  The one-element poset fails.
+        """
+        if self.top == self.zero:
+            return False
+        down, up, lengths = self.down, self.up, self.lengths
+        hint_pos = {lo: i for i, (lo, _, _)
+                    in enumerate(self.down_adj[self.top])}
         memo = {}
 
-        def induced_chain_lengths(mask):
-            lens = {}
-            order = sorted((i for i in range(self.n) if mask >> i & 1),
-                           key=lambda i: self.lengths[i])
-            for i in order:
-                below = down[i] & mask & ~(1 << i)
-                if not below:
-                    lens[i] = (0, 0)
-                    continue
-                cov = [j for j in _bits_iter(below)
-                       if not (up[j] & below & ~(1 << j))]
-                lo = min(lens[j][0] for j in cov) + 1
-                hi = max(lens[j][1] for j in cov) + 1
-                lens[i] = (lo, hi)
-            return lens
-
-        def maxima(mask):
-            return [i for i in _bits_iter(mask)
-                    if not (up[i] & mask & ~(1 << i))]
+        def try_order(seq, N):
+            prev = down[seq[0]]
+            for x in seq[1:]:
+                if not rec(down[x] & prev, N - 1):
+                    return False
+                prev |= down[x]
+            return True
 
         def rec(mask, N):
             key = (mask, N)
             got = memo.get(key)
             if got is not None:
                 return got
-            if not mask >> self.zero & 1:
-                memo[key] = False
-                return False
-            lens = induced_chain_lengths(mask)
-            if any(a != b for a, b in lens.values()):
-                memo[key] = False
-                return False
-            tops = maxima(mask)
-            if len(tops) == 1:
-                ok = lens[tops[0]][0] == N
-                memo[key] = ok
-                return ok
-            if any(lens[x][0] != N for x in tops):
-                memo[key] = False
-                return False
-
-            def try_order(seq):
-                for j in range(1, len(seq)):
-                    inter = down[seq[j]] & mask
-                    prev = 0
-                    for i in range(j):
-                        prev |= down[seq[i]]
-                    if not rec(inter & prev, N - 1):
-                        return False
-                return True
-
-            seq = sorted(tops, key=lambda x: (hint_pos.get(x, self.n), x))
-            ok = try_order(seq)
-            if not ok and len(tops) <= 6:
-                ok = any(try_order(list(p))
-                         for p in itertools.permutations(tops))
+            tops = [i for i in _bits_iter(mask)
+                    if not (up[i] & mask & ~(1 << i))]
+            if any(lengths[x] - lengths[self.zero] != N for x in tops):
+                ok = False
+            elif len(tops) == 1:
+                ok = True
+            else:
+                seq = sorted(tops, key=lambda x: (hint_pos.get(x, self.n), x))
+                ok = try_order(seq, N) or (len(tops) <= 6 and any(
+                    try_order(p, N) for p in itertools.permutations(tops)))
             memo[key] = ok
             return ok
 
-        return rec(full, target)
+        full = ((1 << self.n) - 1) ^ (1 << self.top)
+        return rec(full, lengths[self.top] - lengths[self.zero] - 1)
 
     # -- ideal restriction ------------------------------------------------------
 

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admshell.cli import main
 
@@ -190,12 +194,53 @@ def test_datum_missing_coroots_exits_2(capsys):
     ("shell-order", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1",
      "--out", "json"),
     ("cox", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1", "--out", "text"),
+    ("qbg", "--datum", "A2", "--wt", "s1", "e", "--downup", "s1", "s2"),
+    ("qbg", "--datum", "A2", "--downup", "s1", "s2", "--updown", "s1", "s2"),
+    ("qbg", "--datum", "A2", "--wt", "s1", "e", "--updown", "s1", "s2"),
+    ("qbg", "--datum", "A2", "--wt", "s1", "e", "--out", "dot"),
+    ("qbg", "--datum", "A2", "--out", "dot", "--downup", "s1", "s2"),
+    ("qbg", "--datum", "A2", "--updown", "s1", "s2", "--out", "dot"),
 ])
 def test_jobs_and_check_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_verify_ideal_with_check_full_exits_2(capsys):
+    code, out, err = run(capsys, *GL3_VERIFY, "--ideal", "s1",
+                         "--check", "full")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--check full" in err
+    assert "--ideal" in err
+
+
+WORD = re.compile(r" *(e|(s[12]( +s[12])*)?) *")
+
+
+# strings over s, e, x, digits and spaces: free text, then words of valid
+# tokens, then words mixing valid and invalid tokens
+WORDS = st.one_of(
+    st.text(alphabet="sex0123456789 ", max_size=10),
+    st.lists(st.sampled_from(["s1", "s2"]), max_size=4).map(" ".join),
+    st.lists(st.sampled_from(["s1", "s2", "s0", "s3", "s", "e", "x1", "12"]),
+             max_size=4).map(" ".join))
+
+
+@settings(deadline=None, max_examples=200)
+@given(WORDS)
+def test_word_tokens_follow_the_grammar(word):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["qbg", "--datum", "A2", "--wt", word, "e"])
+    if WORD.fullmatch(word):
+        assert code == 0 and json.loads(out.getvalue())["d"] >= 0
+    else:
+        bad = next(t for t in word.split() if t not in ("s1", "s2"))
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert repr(bad) in err.getvalue()
 
 
 @pytest.mark.parametrize("spec, field", [

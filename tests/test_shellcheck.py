@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +121,67 @@ def labeled_graded_posets(draw):
 @given(labeled_graded_posets())
 def test_verify_dual_el_matches_chain_oracle(lp):
     assert lp.verify_dual_el() == oracle_report(lp)
+
+
+def ncm_oracle(lp):
+    """ncm_check by brute force on induced sub-posets: purity from the lengths
+    of every maximal chain, then every order of the maxima, with no memo."""
+    def lt(x, y):
+        return x != y and lp.leq(x, y)
+
+    def pure_length(S):
+        # the common length of the maximal chains of S, or None
+        lengths = set()
+
+        def climb(x, k):
+            above = [y for y in S if lt(x, y)]
+            covers = [y for y in above
+                      if not any(lt(z, y) for z in above)]
+            for y in covers:
+                climb(y, k + 1)
+            if not covers:
+                lengths.add(k)
+
+        for x in S:
+            if not any(lt(y, x) for y in S):
+                climb(x, 0)
+        return lengths.pop() if len(lengths) == 1 else None
+
+    def ncm(S, N):
+        if not S or pure_length(S) != N:
+            return False
+        tops = [x for x in S if not any(lt(x, y) for y in S)]
+
+        def below(x):
+            return {z for z in S if lp.leq(z, x)}
+
+        return any(
+            all(ncm(below(seq[j]) & set().union(*map(below, seq[:j])), N - 1)
+                for j in range(1, len(seq)))
+            for seq in itertools.permutations(tops))
+
+    rest = {x for x in range(lp.n) if x != lp.top}
+    return ncm(rest, lp.lengths[lp.top] - lp.lengths[lp.zero] - 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeled_graded_posets())
+def test_ncm_check_matches_oracle(lp):
+    assert lp.ncm_check() == ncm_oracle(lp)
+
+
+def test_ncm_check_fails_on_two_chains_and_a_point():
+    # 0 < a < c and 0 < b < d under one top: the ideals of c and d meet in
+    # {0}, which has rank 0, not 1
+    lp = LabeledPoset(6, 5, 0, [0, 1, 1, 2, 2, 3],
+                      [(1, 0, 0, "a"), (2, 0, 1, "b"), (3, 1, 0, "c"),
+                       (4, 2, 0, "d"), (5, 3, 0, "t1"), (5, 4, 1, "t2")],
+                      ["0", "a", "b", "c", "d", "top"])
+    assert lp.ncm_check() is False
+    assert ncm_oracle(lp) is False
+    point = LabeledPoset(1, 0, 0, [0], [])
+    assert point.ncm_check() is False
+    assert ncm_oracle(point) is False
 
 
 def test_gl3_verify_passes(gl3_case):
