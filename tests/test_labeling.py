@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
@@ -7,7 +10,7 @@ from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
 from admshell.admissible import canonical_K
 from admshell.labeling import defect, format_label
 from admshell.rootdata import AffineRoot
-from conftest import datum, pipeline
+from conftest import datum, matrix_entries, pipeline
 
 
 def neg(v):
@@ -191,3 +194,23 @@ def test_eta_order_refines_bruhat():
 def test_capped_combinations_are_logged():
     poset, order, _ = pipeline("A1", (1,), ())
     assert all(isinstance(x, AffineRoot) for x in order.capped)
+
+
+# sha256 over every theorem-matrix entry: the admissible poset, the serialized
+# label order and the distinct capped-out roots.  Recorded while the pair
+# combinations were still solved over Fraction; any later change to the label
+# order's arithmetic must leave it as it is.
+MATRIX_SHA256 = ("8292c4363d4f1d5d38895cef65a12676"
+                 "e636861f240c583ed382f69f40c927a2")
+
+
+def test_theorem_matrix_orders_are_byte_identical():
+    h = hashlib.sha256()
+    for name, mu, K in matrix_entries():
+        poset, order, _ = pipeline(name, mu, K)
+        d = poset.datum
+        capped = sorted({d.format_affine(c) for c in order.capped})
+        h.update(json.dumps([poset.to_json_dict(), order.serialize(), capped],
+                            sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == MATRIX_SHA256
