@@ -6,7 +6,13 @@ in three steps:
 
 1. collect a finite "relevant" set: every edge label, the K-subsystem, closed
    under the K-reflections and under positive rational pair combinations (with
-   a level cap, recorded in ``LabelOrder.capped`` when it bites);
+   a level cap; each root past it is recorded once in ``LabelOrder.capped``).
+   The closure is a worklist that visits each root once and pairs it with the
+   roots visited before it.  Pair combinations of roots with independent
+   finite parts come from the datum's integer table
+   (``RootDatum.root_pair_table``): ``s*r1 + t*r2 = gamma`` as
+   ``(gamma, sn, tn, den)`` with ``s = sn/den``, ``t = tn/den``, so the level
+   ``s*l1 + t*l2`` is one integer division, and no ``Fraction`` is built;
 2. sort it by a lexicographic sequence of linear-functional ratios.  Ratios of
    linear forms turn positive combinations into convex combinations of key
    vectors, so any such sort respects betweenness; the leading functional is
@@ -119,9 +125,8 @@ def _pair_combinations(datum, a1, a2, cap):
     combos, overflow = [], []
 
     def push(ar):
-        if not datum.is_root(ar.root) or not datum.is_positive_affine(ar):
-            return
-        (combos if ar.level <= cap else overflow).append(ar)
+        if datum.is_positive_affine(ar):
+            (combos if ar.level <= cap else overflow).append(ar)
 
     if a1.root == a2.root:
         lo, hi = sorted((a1.level, a2.level))
@@ -136,60 +141,47 @@ def _pair_combinations(datum, a1, a2, cap):
     else:
         # distinct non-opposite roots are independent: the finite parts fix
         # (s, t), which then fixes the level
-        r1, r2 = a1.root, a2.root
-        n = len(r1)
-        ij = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                   if r1[i] * r2[j] - r1[j] * r2[i] != 0), None)
-        if ij is None:
-            return combos, overflow
-        i, j = ij
-        det = r1[i] * r2[j] - r1[j] * r2[i]
-        for gamma in datum._sign:
-            s = Fraction(gamma[i] * r2[j] - gamma[j] * r2[i], det)
-            t = Fraction(r1[i] * gamma[j] - r1[j] * gamma[i], det)
-            if s <= 0 or t <= 0:
-                continue
-            if any(s * r1[k] + t * r2[k] != gamma[k] for k in range(n)):
-                continue
-            m = s * a1.level + t * a2.level
-            if m.denominator != 1:
-                continue
-            push(AffineRoot(gamma, int(m)))
+        l1, l2 = a1.level, a2.level
+        for gamma, sn, tn, den in datum.root_pair_table(a1.root, a2.root):
+            m, rem = divmod(sn * l1 + tn * l2, den)
+            if rem == 0:
+                push(AffineRoot(gamma, m))
     return combos, overflow
 
 
 def relevant_closure(datum, K, seeds, phi_K):
-    """Close the seed labels under K-reflections and pair combinations."""
+    """Close the seed labels under K-reflections and pair combinations.
+
+    A worklist: each root, when its turn comes, gets the K-reflections and is
+    paired with every root taken before it.  The rules are monotone, so the
+    closure does not depend on the visiting order.  The base has levels at
+    most cap, so every root past the cap is logged, once, in ``capped``.
+    """
     refls = [affine_reflection(datum, ar) for ar in K]
-    base = set(seeds) | set(phi_K)
-    cap = max([1] + [ar.level for ar in base])
-    cap = 2 * cap + 1
+    base = sorted(set(seeds) | set(phi_K), key=lambda ar: (ar.level, ar.root))
+    cap = 2 * max([1] + [ar.level for ar in base]) + 1
     S = set(base)
-    capped = []
-    changed = True
-    while changed:
-        changed = False
+    capped = {}
+    queue = list(base)
+
+    def visit(ar):
+        if ar in S:
+            return
+        if ar.level <= cap:
+            S.add(ar)
+            queue.append(ar)
+        else:
+            capped[ar] = None
+
+    for k, x in enumerate(queue):
         for w in refls:
-            for ar in list(S):
-                img = w.act(ar)
-                if not datum.is_positive_affine(img):
-                    img = -img
-                if img not in S:
-                    if img.level <= cap or img in phi_K:
-                        S.add(img)
-                        changed = True
-                    else:
-                        capped.append(img)
-        items = sorted(S, key=lambda ar: (ar.level, ar.root))
-        for i, x in enumerate(items):
-            for y in items[i + 1:]:
-                combos, over = _pair_combinations(datum, x, y, cap)
-                capped.extend(c for c in over if c not in S)
-                for c in combos:
-                    if c not in S:
-                        S.add(c)
-                        changed = True
-    return S, cap, capped
+            img = w.act(x)
+            visit(img if datum.is_positive_affine(img) else -img)
+        for y in queue[:k]:
+            combos, over = _pair_combinations(datum, y, x, cap)
+            for c in combos + over:
+                visit(c)
+    return S, cap, list(capped)
 
 
 class LabelOrder:
@@ -274,17 +266,22 @@ class LabelOrder:
         for i, lbl in enumerate(self.sequence):
             if not isinstance(lbl, EtaLabel):
                 continue
+            eta = format_label(d, lbl)
             for other in self.sequence[i + 1:]:
                 if isinstance(other, RootLabel) and cls[other.root] == 1:
-                    out.append("sandwich: a class-1 root after a top-edge label")
+                    out.append(f"sandwich: class-1 root {format_label(d, other)} "
+                               f"after top-edge label {eta}")
             for other in self.sequence[:i]:
                 if isinstance(other, RootLabel) and cls[other.root] == 2:
-                    out.append("sandwich: a class-2 root before a top-edge label")
+                    out.append(f"sandwich: class-2 root {format_label(d, other)} "
+                               f"before top-edge label {eta}")
         W = d.weyl_group()
         for i, a in enumerate(self.etas):
             for b in self.etas[i + 1:]:
                 if W.bruhat_leq(b, a) and b != a:
-                    out.append("eta order does not refine Bruhat order")
+                    out.append(f"eta order does not refine Bruhat order: "
+                               f"{b.word_str()} is below {a.word_str()} "
+                               "but comes after it")
         return out
 
     def check(self):

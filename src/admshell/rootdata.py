@@ -7,7 +7,6 @@ explicit simple roots/coroots are accepted too.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError
 from .exact import dot, solve_linear, vec_add, vec_neg, vec_sub
@@ -145,6 +144,8 @@ class RootDatum:
                              "is not of finite type")
         self._build_roots()
         self._build_components()
+        self._cone = {}
+        self._pair_table = {}
         self.two_rho = tuple(
             sum(a[i] for a in self.positive_roots) for i in range(self.rank))
         for i in range(self.nsimple):
@@ -298,12 +299,46 @@ class RootDatum:
 
     def in_coroot_cone(self, vec):
         """Is vec a nonnegative integer combination of simple coroots?"""
-        return self._cone_cached(tuple(vec))
+        vec = tuple(vec)
+        hit = self._cone.get(vec)
+        if hit is None:
+            from .exact import nonneg_integer_coords
+            hit = nonneg_integer_coords(self.simple_coroots, vec) is not None
+            self._cone[vec] = hit
+        return hit
 
-    @lru_cache(maxsize=None)
-    def _cone_cached(self, vec):
-        from .exact import nonneg_integer_coords
-        return nonneg_integer_coords(self.simple_coroots, vec) is not None
+    def root_pair_table(self, r1, r2):
+        """Roots gamma = s*r1 + t*r2 with rational s, t > 0, as integer rows.
+
+        r1 and r2 are distinct, non-opposite roots, hence linearly
+        independent.  Each row (gamma, sn, tn, den) has den > 0, sn > 0,
+        tn > 0 and sn*r1 + tn*r2 == den*gamma, so s = sn/den and t = tn/den.
+        den is |det| of the first non-zero 2x2 minor of (r1, r2); rows follow
+        the order of the root list.  Filled one pair at a time, on first use.
+        """
+        key = (r1, r2)
+        rows = self._pair_table.get(key)
+        if rows is not None:
+            return rows
+        n = len(r1)
+        ij = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                   if r1[i] * r2[j] - r1[j] * r2[i] != 0), None)
+        rows = []
+        if ij is not None:
+            i, j = ij
+            det = r1[i] * r2[j] - r1[j] * r2[i]
+            sign = 1 if det > 0 else -1
+            den = sign * det
+            for gamma in self._sign:
+                sn = sign * (gamma[i] * r2[j] - gamma[j] * r2[i])
+                tn = sign * (r1[i] * gamma[j] - r1[j] * gamma[i])
+                if sn <= 0 or tn <= 0:
+                    continue
+                if all(sn * a + tn * b == den * g
+                       for a, b, g in zip(r1, r2, gamma)):
+                    rows.append((gamma, sn, tn, den))
+        rows = self._pair_table[key] = tuple(rows)
+        return rows
 
     # -- groups (lazily built, cached) --------------------------------------
 

@@ -1,5 +1,9 @@
+import gc
 import hashlib
+import itertools
 import json
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +12,8 @@ from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       label_edges, make_classifier, repair_step,
                       subsystem_positive)
 from admshell.admissible import canonical_K
-from admshell.labeling import defect, format_label
+from admshell import build_root_datum
+from admshell.labeling import _pair_combinations, defect, format_label
 from admshell.rootdata import AffineRoot
 from conftest import datum, matrix_entries, pipeline
 
@@ -100,6 +105,20 @@ def test_scrambled_order_fails_checker(gl3_case):
     assert order.violations()
     with pytest.raises(PropertyViolation):
         order.check()
+    # one eta moved in front of a class-1 root, and the etas swapped: the
+    # messages name both labels and both etas
+    eta0, eta1 = (EtaLabel(x) for x in poset.WJK)
+    late = RootLabel(AffineRoot(neg(theta), 1))
+    swapped = [RootLabel(AffineRoot(neg(a2), 1)), eta1, late, eta0,
+               RootLabel(AffineRoot(neg(a1), 1)), RootLabel(AffineRoot(a2, 0))]
+    bad = LabelOrder.from_labels(d, poset.K, swapped).violations()
+    sandwich = [m for m in bad if m.startswith("sandwich")]
+    assert sandwich == [f"sandwich: class-1 root {format_label(d, late)} "
+                        f"after top-edge label {format_label(d, eta1)}"]
+    bruhat = [m for m in bad if m.startswith("eta order")]
+    assert len(bruhat) == 1
+    assert poset.WJK[0].word_str() in bruhat[0]
+    assert poset.WJK[1].word_str() in bruhat[0]
 
 
 def test_a1_unlevelled_order():
@@ -194,6 +213,13 @@ def test_eta_order_refines_bruhat():
 def test_capped_combinations_are_logged():
     poset, order, _ = pipeline("A1", (1,), ())
     assert all(isinstance(x, AffineRoot) for x in order.capped)
+    for name in ("A1", "A2", "B2"):
+        d = datum(name)
+        poset, order, _ = pipeline(name, dominant_one(d), ())
+        assert order.capped
+        # each capped-out root once, and never one that made it into the order
+        assert len(set(order.capped)) == len(order.capped)
+        assert set(order.capped).isdisjoint(order.roots)
 
 
 # sha256 over every theorem-matrix entry: the admissible poset, the serialized
@@ -214,3 +240,68 @@ def test_theorem_matrix_orders_are_byte_identical():
                             sort_keys=True).encode())
         h.update(b"\n")
     assert h.hexdigest() == MATRIX_SHA256
+
+
+def reference_pair_combinations(datum, a1, a2, cap):
+    """Oracle for _pair_combinations: an exact Fraction solve per root.
+
+    For distinct, non-opposite finite parts it solves gamma = s*r1 + t*r2 on
+    the first non-zero 2x2 minor, for every root gamma in turn, and keeps the
+    positive affine roots with s, t > 0 and an integral level.
+    """
+    combos, overflow = [], []
+
+    def push(ar):
+        if not datum.is_root(ar.root) or not datum.is_positive_affine(ar):
+            return
+        (combos if ar.level <= cap else overflow).append(ar)
+
+    if a1.root == a2.root:
+        lo, hi = sorted((a1.level, a2.level))
+        for m in range(lo + 1, hi):
+            push(AffineRoot(a1.root, m))
+    elif a1.root == neg(a2.root):
+        for base in (a1, a2):
+            for m in range(base.level + 1, cap + 1):
+                push(AffineRoot(base.root, m))
+        overflow.append(AffineRoot(a1.root, cap + 1))
+    else:
+        r1, r2 = a1.root, a2.root
+        n = len(r1)
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if r1[i] * r2[j] - r1[j] * r2[i] != 0)
+        det = r1[i] * r2[j] - r1[j] * r2[i]
+        for gamma in datum._sign:
+            s = Fraction(gamma[i] * r2[j] - gamma[j] * r2[i], det)
+            t = Fraction(r1[i] * gamma[j] - r1[j] * gamma[i], det)
+            if s <= 0 or t <= 0:
+                continue
+            if any(s * r1[k] + t * r2[k] != gamma[k] for k in range(n)):
+                continue
+            m = s * a1.level + t * a2.level
+            if m.denominator == 1:
+                push(AffineRoot(gamma, int(m)))
+    return combos, overflow
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "GL3", "A1xA1",
+                                  "B3", "C3", "D4"])
+def test_pair_table_matches_fraction_oracle(name):
+    d = build_root_datum(name)
+    roots = list(d.positive_roots) + [neg(r) for r in d.positive_roots]
+    affine = [AffineRoot(r, m) for r in roots for m in range(4)]
+    affine = [ar for ar in affine if d.is_positive_affine(ar)]
+    for a1, a2 in itertools.product(affine, repeat=2):
+        for cap in (3, 7):
+            assert _pair_combinations(d, a1, a2, cap) == \
+                reference_pair_combinations(d, a1, a2, cap), (a1, a2, cap)
+
+
+def test_datum_is_freed_after_cone_queries():
+    d = build_root_datum("A2")
+    assert d.in_coroot_cone(d.simple_coroots[0])
+    assert not d.in_coroot_cone(neg(d.simple_coroots[0]))
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
