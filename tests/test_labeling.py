@@ -9,10 +9,9 @@ import pytest
 
 from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       RootLabel, build_admissible, build_label_order,
-                      label_edges, make_classifier, repair_step,
-                      subsystem_positive)
+                      build_root_datum, label_edges, make_classifier,
+                      repair_step, subsystem_positive)
 from admshell.admissible import canonical_K
-from admshell import build_root_datum
 from admshell.labeling import _pair_combinations, defect, format_label
 from admshell.rootdata import AffineRoot
 from conftest import datum, matrix_entries, pipeline
