@@ -111,6 +111,7 @@ class AdmissiblePoset:
             lower[up].append(lo)
         # members are sorted by length and the formal top comes last
         self._down, _ = closure_bits(range(self.top + 1), lower)
+        self._coset_groups = None
 
     def _verify_shape(self):
         n = len(self.elements)
@@ -149,6 +150,15 @@ class AdmissiblePoset:
     def eta_order(self):
         """The total order on W^{J,K} used for the top-edge labels."""
         return list(self.WJK)
+
+    def coset_groups(self):
+        """The image of W_K in W_0 and W_J, as element lists, built once."""
+        if self._coset_groups is None:
+            W = self.datum.weyl_group()
+            self._coset_groups = (
+                W.subgroup([W.reflection(ar.root) for ar in self.K]),
+                W.subgroup([W.simples[j] for j in self.J]))
+        return self._coset_groups
 
     def translation_of(self, a):
         return AffineElement.translation_of(self.datum,
@@ -253,10 +263,9 @@ def compute_sigma(poset, w):
     brute = _unique_min(W, sigma_w_JK, "Sigma_w^{J,K}")
     if brute != a_min_K:
         raise PropertyViolation("gateway loop disagrees with the brute minimum")
-    pr_WK = W.subgroup([W.reflection(ar.root) for ar in poset.K])
-    WJ_group = W.subgroup([W.simples[j] for j in poset.J])
+    pr_WK, WJ_group = poset.coset_groups()
     coset = {p * z_min * u for p in pr_WK for u in WJ_group}
-    hit = [b for b in coset if b in set(poset.WJK)]
+    hit = [b for b in coset if b in poset.WJK]
     if len(hit) != 1 or hit[0] != a_min_K:
         raise PropertyViolation("double-coset characterization failed")
     return SigmaData(w=w, presentation=pres, sigma_w=sigma_w, z_min=z_min,

@@ -39,7 +39,7 @@ class AffineElement:
                 and self.finite == other.finite)
 
     def __hash__(self):
-        return hash((self.translation, self.finite.wm))
+        return hash((self.translation, self.finite))
 
     def __mul__(self, other):
         if self.datum is not other.datum:
@@ -55,19 +55,20 @@ class AffineElement:
                              vec_neg(zinv.apply_coweight(self.translation)), zinv)
 
     def act(self, ar):
-        beta = self.finite.apply_weight(ar.root)
-        return AffineRoot(beta, ar.level - self.datum.pairing(self.translation, beta))
+        d = self.datum
+        j = self.finite.perm[d.root_index[ar.root]]
+        return AffineRoot(d.roots[j],
+                          ar.level - d.pairing_row(self.translation)[j])
 
     @property
     def length(self):
+        """Sum over positive roots a of |<lam, a> - [z^-1 a < 0]|."""
         if self._len is None:
-            d = self.datum
-            zinv = self.finite.inverse()
-            total = 0
-            for a in d.positive_roots:
-                delta = 1 if d.root_sign(zinv.apply_weight(a)) < 0 else 0
-                total += abs(d.pairing(self.translation, a) - delta)
-            self._len = total
+            npos = self.datum.num_positive
+            row = self.datum.pairing_row(self.translation)
+            zinv = self.finite.inverse().perm
+            self._len = sum(abs(row[i] - (zinv[i] >= npos))
+                            for i in range(npos))
         return self._len
 
     def is_min_rep(self, K):
@@ -112,9 +113,9 @@ def reflection_root(datum, w):
     """The positive affine root whose reflection is w, or None."""
     d = datum
     z = w.finite
-    neg = [a for a in d.positive_roots if d.root_sign(z.apply_weight(a)) < 0]
-    for a in neg:
-        if z == d.weyl_group().reflection(a):
+    W = d.weyl_group()
+    for r, a in enumerate(d.positive_roots):
+        if z.perm[r] >= d.num_positive and z == W.reflection(a):
             coroot = d.coroot(a)
             ks = {-w.translation[i] // coroot[i]
                   for i in range(d.rank) if coroot[i] != 0}
@@ -131,13 +132,15 @@ def reflection_root(datum, w):
 def inversions(w):
     """Positive affine roots sent to negative ones; size == length."""
     d = w.datum
-    z = w.finite
+    npos = d.num_positive
+    perm = w.finite.perm
+    row = d.pairing_row(w.translation)
     out = []
-    for a, sign_a in d._sign.items():
-        beta = z.apply_weight(a)
-        c = d.pairing(w.translation, beta)
-        k_min = 0 if sign_a > 0 else 1
-        k_max = c - 1 if d.root_sign(beta) > 0 else c
+    for i, a in enumerate(d.roots):
+        j = perm[i]
+        c = row[j]
+        k_min = 0 if i < npos else 1
+        k_max = c - 1 if j < npos else c
         out.extend(AffineRoot(a, k) for k in range(k_min, k_max + 1))
     if len(out) != w.length:
         raise AssertionError("inversion count disagrees with the length formula")
@@ -236,14 +239,17 @@ class AcutePresentation:
         return x_aff * AffineElement.translation_of(self.datum, self.lam) * y_aff
 
     def slack(self, alpha):
-        d = self.datum
-        yinv = self.y.inverse()
-        dx = 1 if d.root_sign(self.x.apply_weight(alpha)) < 0 else 0
-        dy = 1 if d.root_sign(yinv.apply_weight(alpha)) < 0 else 0
-        return dx + d.pairing(self.lam, alpha) - dy
+        return self._slack(self.datum.root_index[tuple(alpha)])
+
+    def _slack(self, i):
+        npos = self.datum.num_positive
+        dx = self.x.perm[i] >= npos
+        dy = self.y.inverse().perm[i] >= npos
+        return dx + self.datum.pairing_row(self.lam)[i] - dy
 
     def is_acute(self):
-        return all(self.slack(a) >= 0 for a in self.datum.positive_roots)
+        return all(self._slack(i) >= 0
+                   for i in range(self.datum.num_positive))
 
     def length_value(self):
         return (self.x.length + self.datum.pairing(self.lam, self.datum.two_rho)
@@ -279,8 +285,9 @@ def acute_presentation_K(w, K):
     d = w.datum
     if not w.is_min_rep(K):
         raise InputError("element is not a minimal coset representative for K")
+    cols = [d.root_index[ar.root] for ar in K]
     for p in acute_presentations(w):
-        if all(d.root_sign(p.y.apply_weight(ar.root)) < 0 for ar in K):
+        if all(p.y.perm[i] >= d.num_positive for i in cols):
             return p
     raise PropertyViolation("no K-compatible acute presentation found")
 

@@ -70,24 +70,21 @@ def format_label(datum, label):
 
 
 def subsystem_positive(datum, K):
-    """Positive affine roots of the subsystem spanned by K (orbit closure)."""
-    if not K:
-        return frozenset()
-    from .affine import AffineElement
+    """Positive affine roots of the subsystem spanned by K.
+
+    The subsystem is the orbit of K under the group its reflections
+    generate, so a worklist closes K under those reflections, acting on
+    affine roots, and keeps the positive roots.
+    """
     refls = [simple_reflection(datum, ar) for ar in K]
-    ident = AffineElement.identity(datum)
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in refls:
-                t = w * s
-                if t not in group:
-                    group.add(t)
-                    new.append(t)
-        frontier = new
-    orbit = {w.act(ar) for w in group for ar in K}
+    orbit = set(K)
+    queue = list(K)
+    for ar in queue:
+        for s in refls:
+            img = s.act(ar)
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
     return frozenset(ar for ar in orbit if datum.is_positive_affine(ar))
 
 

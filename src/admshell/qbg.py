@@ -10,7 +10,7 @@ produced by local rewriting.
 from collections import namedtuple
 
 from .errors import InputError, PropertyViolation
-from .exact import vec_add, vec_neg, vec_sub
+from .exact import vec_add
 
 Edge = namedtuple("Edge", "src dst root_idx quantum weight")
 
@@ -19,6 +19,7 @@ class QuantumBruhatGraph:
     def __init__(self, datum):
         self.datum = datum
         self.group = datum.weyl_group()
+        self.w0 = self.group.longest_element()
         n = len(self.group)
         zero = (0,) * datum.rank
         self.out = [[] for _ in range(n)]
@@ -196,21 +197,20 @@ class QuantumBruhatGraph:
 
     def _dual_edge(self, e):
         d = self.datum
-        w0 = self.group.longest_element()
+        w0 = self.w0
         src = self.group.elements[e.src]
         dst = self.group.elements[e.dst]
-        root = d.positive_roots[e.root_idx]
-        droot = vec_neg(w0.apply_weight(root))
-        r2 = d.positive_roots.index(droot)
+        # w0 sends every positive root to a negative one: -w0(a) is positive
+        r2 = w0.perm[e.root_idx] - d.num_positive
         i2 = self.group.index[dst * w0]
         j2 = self.group.index[src * w0]
-        weight = vec_neg(w0.apply_coweight(e.weight)) if e.quantum \
-            else (0,) * d.rank
+        # -w0(a^vee) is the coroot of -w0(a)
+        weight = d.positive_coroots[r2] if e.quantum else (0,) * d.rank
         return Edge(i2, j2, r2, e.quantum, weight)
 
     def updown_path(self, u, v):
         """A shortest path where no downward edge precedes an upward one."""
-        w0 = self.group.longest_element()
+        w0 = self.w0
         uu = (u if not isinstance(u, int) else self.group.elements[u])
         vv = (v if not isinstance(v, int) else self.group.elements[v])
         dual = self.downup_path(vv * w0, uu * w0)

@@ -146,6 +146,7 @@ class RootDatum:
         self._build_components()
         self._cone = {}
         self._pair_table = {}
+        self._pairing_rows = {}
         self.two_rho = tuple(
             sum(a[i] for a in self.positive_roots) for i in range(self.rank))
         for i in range(self.nsimple):
@@ -197,6 +198,12 @@ class RootDatum:
         self.positive_coroots = tuple(p[1] for p in pos)
         self._simple_coords = {p[0]: p[2] for p in pos}
         self.num_positive = len(pos)
+        # index i < num_positive: a positive root; i + num_positive: its negative
+        self.roots = self.positive_roots + tuple(
+            vec_neg(a) for a in self.positive_roots)
+        self.coroots = self.positive_coroots + tuple(
+            vec_neg(av) for av in self.positive_coroots)
+        self.root_index = {a: i for i, a in enumerate(self.roots)}
         self._sign = {}
         self._coroot = {}
         for root, coroot in seen.items():
@@ -306,6 +313,14 @@ class RootDatum:
             hit = nonneg_integer_coords(self.simple_coroots, vec) is not None
             self._cone[vec] = hit
         return hit
+
+    def pairing_row(self, lam):
+        """The integers <lam, a> for a over ``roots``, one cached row per lam."""
+        row = self._pairing_rows.get(lam)
+        if row is None:
+            half = tuple(dot(lam, a) for a in self.positive_roots)
+            row = self._pairing_rows[lam] = half + tuple(-c for c in half)
+        return row
 
     def root_pair_table(self, r1, r2):
         """Roots gamma = s*r1 + t*r2 with rational s, t > 0, as integer rows.

@@ -1,4 +1,14 @@
-"""Finite Weyl group: elements as lattice actions, Bruhat order, quotients."""
+"""Finite Weyl group: elements as permutations of the roots, Bruhat order,
+quotients.
+
+An element is stored as the permutation it induces on the datum's root list
+(``RootDatum.roots``: the positive roots, then their negatives), so a product
+is a tuple composition plus a pool lookup, the length is the number of
+positive roots sent to negative ones, and the action on a root is an index
+lookup.  The coweight matrix ``cm`` is kept only to act on translations.
+"""
+
+from operator import itemgetter
 
 from .errors import InputError
 from .shellcheck import closure_bits
@@ -8,94 +18,82 @@ def _matvec(M, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
 
 
-def _matmul(A, B):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k))
-                       for j in range(m)) for i in range(n))
-
-
-def _transpose(M):
-    return tuple(tuple(row[j] for row in M) for j in range(len(M[0])))
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 class WeylElement:
-    """Group element stored as its matrix action on both lattices.
+    """Group element stored as its permutation of the root indices.
 
-    wm acts on weights (X^*), cm on coweights (X_*).  Identity of the pair is
-    determined by wm alone; cm is kept so that no matrix inversion is ever
-    needed (inverse = transpose swap).
+    perm[i] is the index of w(roots[i]); cm is the matrix of w on coweights
+    (X_*).  Elements are interned per group, so equality is identity.
     """
 
-    __slots__ = ("group", "wm", "cm", "_len", "_word", "_inv")
+    __slots__ = ("group", "perm", "cm", "_hash", "_len", "_word", "_inv")
 
-    def __init__(self, group, wm, cm):
+    def __init__(self, group, perm, cm):
         self.group = group
-        self.wm = wm
+        self.perm = perm
         self.cm = cm
+        self._hash = hash(perm)
         self._len = None
         self._word = None
         self._inv = None
 
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.wm == other.wm \
-            and self.group is other.group
-
     def __hash__(self):
-        return hash(self.wm)
+        return self._hash
 
     def __mul__(self, other):
         if self.group is not other.group:
             raise InputError("cannot multiply elements over different data")
-        return self.group._intern(_matmul(self.wm, other.wm),
-                                  _matmul(self.cm, other.cm))
+        # (uv)(i) = u(v(i)); there are at least two roots, so this is a tuple
+        return self.group._pool[itemgetter(*other.perm)(self.perm)]
 
     def inverse(self):
         if self._inv is None:
-            inv = self.group._intern(_transpose(self.cm), _transpose(self.wm))
-            self._inv = inv
-            inv._inv = self
+            inv = [0] * len(self.perm)
+            for i, j in enumerate(self.perm):
+                inv[j] = i
+            self._inv = self.group._pool[tuple(inv)]
+            self._inv._inv = self
         return self._inv
 
     def apply_weight(self, x):
-        return _matvec(self.wm, x)
+        d = self.group.datum
+        i = d.root_index.get(tuple(x))
+        if i is not None:
+            return d.roots[self.perm[i]]
+        # <w lam, w x> = <lam, x>: w acts on weights by the transpose of cm(w^-1)
+        cinv = self.inverse().cm
+        return tuple(sum(cinv[j][i] * x[j] for j in range(len(x)))
+                     for i in range(len(x)))
 
     def apply_coweight(self, lam):
         return _matvec(self.cm, lam)
 
     @property
     def is_identity(self):
-        return self.wm == self.group._id_mat
+        return self is self.group.identity
 
     @property
     def length(self):
         if self._len is None:
-            d = self.group.datum
-            self._len = sum(1 for a in d.positive_roots
-                            if d.root_sign(self.apply_weight(a)) < 0)
+            n = self.group.datum.num_positive
+            self._len = sum(1 for j in self.perm[:n] if j >= n)
         return self._len
 
     @property
     def word(self):
         """Lexicographically least reduced word, as simple indices."""
         if self._word is None:
-            d = self.group.datum
+            W = self.group
+            n = W.datum.num_positive
             w = self
             letters = []
             while not w.is_identity:
-                winv = w.inverse()
-                for i, a in enumerate(d.simple_roots):
-                    if d.root_sign(winv.apply_weight(a)) < 0:
-                        letters.append(i)
-                        w = self.group.simple(i) * w
-                        break
-                else:
+                inv = w.inverse().perm
+                i = next((i for i, r in enumerate(W.simple_idx)
+                          if inv[r] >= n), None)
+                if i is None:
                     raise AssertionError("no left descent on a non-identity element")
+                letters.append(i)
+                w = W.simples[i] * w
             self._word = tuple(letters)
         return self._word
 
@@ -110,57 +108,93 @@ class WeylGroup:
     def __init__(self, datum):
         self.datum = datum
         n = datum.rank
-        self._id_mat = _identity(n)
+        idx = datum.root_index
+        self.simple_idx = tuple(idx[a] for a in datum.simple_roots)
         self._pool = {}
-        self.identity = self._intern(self._id_mat, self._id_mat)
-        self.simples = []
-        for a, av in zip(datum.simple_roots, datum.simple_coroots):
-            self.simples.append(self.reflection_for(a, av))
+        ident = tuple(tuple(1 if i == j else 0 for j in range(n))
+                      for i in range(n))
+        self.identity = self._intern(tuple(range(len(datum.roots))), ident)
+        self.simples = [self._reflection_element(r) for r in self.simple_idx]
         self.elements = self._generate()
         self.index = {w: i for i, w in enumerate(self.elements)}
+        # one reflection per positive root, in the order of the root list
+        self.reflections = tuple(self._pool[self._reflection_perm(r)]
+                                 for r in range(datum.num_positive))
         self._bruhat_bits = None
-        self._refl = None
 
-    def _intern(self, wm, cm):
-        el = self._pool.get(wm)
-        if el is None:
-            el = WeylElement(self, wm, cm)
-            self._pool[wm] = el
+    def _intern(self, perm, cm):
+        el = self._pool[perm] = WeylElement(self, perm, cm)
         return el
+
+    def _reflection_perm(self, r):
+        """s_a(b) = b - <a^vee, b> a on the root indices, for a = roots[r]."""
+        d = self.datum
+        a, av = d.roots[r], d.coroots[r]
+        perm = []
+        for beta in d.roots:
+            k = sum(x * y for x, y in zip(av, beta))
+            perm.append(d.root_index[tuple(b - k * c for b, c in zip(beta, a))])
+        return tuple(perm)
+
+    def _reflection_element(self, r):
+        d = self.datum
+        a, av = d.roots[r], d.coroots[r]
+        n = d.rank
+        cm = tuple(tuple((1 if i == j else 0) - av[i] * a[j]
+                         for j in range(n)) for i in range(n))
+        return self._intern(self._reflection_perm(r), cm)
 
     def simple(self, i):
         return self.simples[i]
 
-    def reflection_for(self, root, coroot):
-        n = self.datum.rank
-        wm = tuple(tuple((1 if i == j else 0) - root[i] * coroot[j]
-                         for j in range(n)) for i in range(n))
-        cm = tuple(tuple((1 if i == j else 0) - coroot[i] * root[j]
-                         for j in range(n)) for i in range(n))
-        return self._intern(wm, cm)
-
     def reflection(self, root_vec):
-        return self.reflection_for(tuple(root_vec), self.datum.coroot(root_vec))
+        """The reflection in a root (of either sign)."""
+        i = self.datum.root_index[tuple(root_vec)]
+        return self.reflections[i % self.datum.num_positive]
 
     def _generate(self):
-        order = [self.identity]
-        self.identity._len = 0
-        seen = {self.identity}
-        frontier = [self.identity]
+        """All elements, by length; each layer sorted by the matrix of the
+        element on weights, an order that the element ids, and so the dot
+        output and the recorded outputs, rely on.
+
+        Right multiplication by a simple reflection is a rank-one update:
+        with alpha simple, cm(w s) = cm(w) - (w alpha^vee) (x) alpha and
+        wm(w s) = wm(w) - (w alpha) (x) alpha^vee, where w alpha^vee and
+        w alpha are lookups.  The weight matrices are kept for two layers
+        only, as sort keys.
+        """
+        d = self.datum
+        n = d.rank
+        ident = self.identity
+        ident._len = 0
+        wm = {ident: ident.cm}     # the identity matrix on both lattices
+        placed = {ident.perm}
+        order = [ident]
+        frontier = [ident]
         depth = 0
         while frontier:
             depth += 1
-            new = []
+            new = {}
             for w in frontier:
-                for s in self.simples:
-                    t = w * s
-                    if t not in seen:
-                        t._len = depth
-                        seen.add(t)
-                        new.append(t)
-            new.sort(key=lambda w: w.wm)
-            order.extend(new)
-            frontier = new
+                wp, wcm, wwm = w.perm, w.cm, wm[w]
+                for s, r in zip(self.simples, self.simple_idx):
+                    perm = itemgetter(*s.perm)(wp)
+                    if perm in placed:
+                        continue
+                    placed.add(perm)
+                    a, av = d.roots[r], d.coroots[r]
+                    wa, wav = d.roots[wp[r]], d.coroots[wp[r]]
+                    t = self._pool.get(perm)     # the simples are interned
+                    if t is None:
+                        t = self._intern(perm, tuple(
+                            tuple(wcm[i][j] - wav[i] * a[j] for j in range(n))
+                            for i in range(n)))
+                    t._len = depth
+                    new[t] = tuple(tuple(wwm[i][j] - wa[i] * av[j]
+                                         for j in range(n)) for i in range(n))
+            frontier = sorted(new, key=new.__getitem__)
+            order.extend(frontier)
+            wm = new
         return tuple(order)
 
     def __len__(self):
@@ -169,25 +203,18 @@ class WeylGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    @property
-    def reflections(self):
-        if self._refl is None:
-            self._refl = tuple(self.reflection(a) for a in self.datum.positive_roots)
-        return self._refl
-
     def longest_element(self, subset=None):
         if subset is None:
-            subset = range(self.datum.nsimple)
-        gens = [self.simples[i] for i in subset]
+            # the unique element of maximal length closes the length order
+            return self.elements[-1]
+        npos = self.datum.num_positive
         w = self.identity
-        changed = True
-        while changed:
-            changed = False
-            for s in gens:
-                if (w * s).length > w.length:
-                    w = w * s
-                    changed = True
-        return w
+        while True:
+            i = next((i for i in subset
+                      if w.perm[self.simple_idx[i]] < npos), None)
+            if i is None:
+                return w
+            w = w * self.simples[i]
 
     def subgroup(self, generators):
         seen = {self.identity}
@@ -205,24 +232,22 @@ class WeylGroup:
 
     def min_coset_reps(self, J):
         """Minimal-length representatives of W / W_J."""
-        d = self.datum
+        npos = self.datum.num_positive
+        cols = [self.simple_idx[j] for j in J]
         reps = [w for w in self.elements
-                if all(d.root_sign(w.apply_weight(d.simple_roots[j])) > 0
-                       for j in J)]
+                if all(w.perm[r] < npos for r in cols)]
         reps.sort(key=lambda w: (w.length, w.word))
         return reps
 
     def min_coset_rep(self, w, J):
         """The minimal-length element of w * W_J."""
-        d = self.datum
-        changed = True
-        while changed:
-            changed = False
-            for j in J:
-                if d.root_sign(w.apply_weight(d.simple_roots[j])) < 0:
-                    w = w * self.simples[j]
-                    changed = True
-        return w
+        npos = self.datum.num_positive
+        while True:
+            j = next((j for j in J if w.perm[self.simple_idx[j]] >= npos),
+                     None)
+            if j is None:
+                return w
+            w = w * self.simples[j]
 
     def _bits(self):
         # bruhat_bits[v] has bit u set iff u <= v
@@ -243,7 +268,8 @@ class WeylGroup:
 
     def inversions(self, w):
         d = self.datum
-        return [a for a in d.positive_roots if d.root_sign(w.apply_weight(a)) < 0]
+        npos = d.num_positive
+        return [d.roots[i] for i in range(npos) if w.perm[i] >= npos]
 
     def max_deodhar_lift(self, base, P, bound):
         """Unique maximal element of W_P * base that is <= bound."""

@@ -146,6 +146,23 @@ def test_verify_check_full(capsys):
     assert len(data["top_two"]) == 2
 
 
+def test_verify_check_full_runs_the_convexity_pass_once(capsys, monkeypatch):
+    from admshell.labeling import LabelOrder
+    calls = []
+    original = LabelOrder.violations
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LabelOrder, "violations", counted)
+    code, out, _ = run(capsys, "verify", "--datum", "GL3", "--mu", "1,0,0",
+                       "--K", "a1", "--check", "full", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["label_order_violations"] == []
+    assert len(calls) == 1
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "poset.json"
     code, out, _ = run(capsys, "adm", "--datum", "A1", "--mu", "1",

@@ -13,8 +13,10 @@ from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       repair_step, subsystem_positive)
 from admshell.admissible import canonical_K
 from admshell.labeling import _pair_combinations, defect, format_label
+from admshell.affine import AffineElement, simple_reflection
 from admshell.rootdata import AffineRoot
-from conftest import datum, matrix_entries, pipeline
+from conftest import (MATRIX, datum, matrix_entries, pipeline,
+                      spherical_subsets)
 
 
 def neg(v):
@@ -55,6 +57,34 @@ def test_subsystem_closure_a2():
     classify = make_classifier(d, K)
     for ar in subsystem_positive(d, K):
         assert classify(ar) == 1
+
+
+def reference_subsystem_positive(d, K):
+    """Oracle for subsystem_positive: enumerate the group that K generates,
+    by products of affine elements, and keep the positive roots of the
+    orbit of K."""
+    refls = [simple_reflection(d, ar) for ar in K]
+    ident = AffineElement.identity(d)
+    group, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in refls:
+                t = w * s
+                if t not in group:
+                    group.add(t)
+                    new.append(t)
+        frontier = new
+    orbit = {w.act(ar) for w in group for ar in K}
+    return frozenset(ar for ar in orbit if d.is_positive_affine(ar))
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX) + ["D4-adjoint", "A4"])
+def test_subsystem_closure_matches_group_oracle(name):
+    d = datum(name)
+    for K in spherical_subsets(d):
+        assert subsystem_positive(d, K) == \
+            reference_subsystem_positive(d, K), K
 
 
 def test_constructed_order_gl3(gl3_case):

@@ -4,6 +4,7 @@ import pytest
 
 from admshell import InputError
 from conftest import datum
+from weyl_reference import MatrixWeylGroup
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12, "GL3": 6, "A1xA1": 4}
@@ -141,3 +142,53 @@ def test_max_deodhar_lift():
     assert W.max_deodhar_lift(W.identity, [0], s2) == W.identity
     with pytest.raises(InputError):
         W.max_deodhar_lift(s1 * s2, [0], s2)
+
+
+ORACLE_DATA = ["A3", "B3", "C3", "G2", "D4", "GL3", "A1xA1"]
+# cut to the rank, neither a root nor a coroot of any datum above
+OFF_LATTICE_POINT = (7, -5, 11, 4)
+
+
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_permutation_group_matches_matrix_reference(name):
+    # weyl_reference keeps the matrix representation as an oracle: products,
+    # inverses, lengths, words and both lattice actions must agree element
+    # by element, and the element list must come out in the same order
+    d = datum(name)
+    W = d.weyl_group()
+    R = MatrixWeylGroup(d)
+    assert len(W) == len(R.elements)
+    x = OFF_LATTICE_POINT[:d.rank]
+    assert not d.is_root(x) and x not in d.coroots
+    pairs = list(zip(W.elements, R.elements))
+    for w, r in pairs:
+        assert w.cm == r.cm
+        assert W.index[w.inverse()] == R.index[r.inverse()]
+        assert w.length == r.length
+        assert w.word == r.word
+        for a in d.roots:
+            assert w.apply_weight(a) == r.apply_weight(a)
+        # a weight off the root list takes the matrix path
+        assert w.apply_weight(x) == r.apply_weight(x)
+        for lam in d.simple_coroots + (x,):
+            assert w.apply_coweight(lam) == r.apply_coweight(lam)
+    for u, ru in pairs:
+        for v, rv in pairs:
+            assert W.index[u * v] == R.index[ru * rv]
+
+
+def test_reflection_lookup_and_longest_element():
+    for name in ORACLE_DATA:
+        d = datum(name)
+        W = d.weyl_group()
+        R = MatrixWeylGroup(d)
+        for a in d.roots:
+            s = W.reflection(a)
+            assert s * s == W.identity
+            assert s.apply_weight(a) == tuple(-c for c in a)
+            assert s is W.reflection(tuple(-c for c in a))
+        w0 = W.longest_element()
+        assert w0.length == d.num_positive
+        assert w0.length == max(r.length for r in R.elements)
+        assert not any(w0.apply_weight(a) in d.positive_roots
+                       for a in d.positive_roots)

@@ -1,0 +1,116 @@
+"""Reference Weyl group: elements as integer matrices on both lattices.
+
+This is the representation the library used before elements became
+permutations of the roots.  Products are matrix products, the length counts
+positive roots sent to negative ones by the weight matrix, and each length
+layer is sorted by that matrix.  It is kept as an independent oracle for
+``admshell.weyl``; nothing in the library imports it.
+"""
+
+
+def _matvec(M, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
+
+
+def _matmul(A, B):
+    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(len(B)))
+                       for j in range(len(B[0]))) for i in range(len(A)))
+
+
+def _transpose(M):
+    return tuple(tuple(row[j] for row in M) for j in range(len(M[0])))
+
+
+class MatrixElement:
+    """wm acts on weights (X^*), cm on coweights (X_*); wm alone fixes the
+    element, and the inverse swaps the transposes."""
+
+    __slots__ = ("group", "wm", "cm", "_word")
+
+    def __init__(self, group, wm, cm):
+        self.group = group
+        self.wm = wm
+        self.cm = cm
+        self._word = None
+
+    def __eq__(self, other):
+        return isinstance(other, MatrixElement) and self.wm == other.wm
+
+    def __hash__(self):
+        return hash(self.wm)
+
+    def __mul__(self, other):
+        return self.group.intern(_matmul(self.wm, other.wm),
+                                 _matmul(self.cm, other.cm))
+
+    def inverse(self):
+        return self.group.intern(_transpose(self.cm), _transpose(self.wm))
+
+    def apply_weight(self, x):
+        return _matvec(self.wm, x)
+
+    def apply_coweight(self, lam):
+        return _matvec(self.cm, lam)
+
+    @property
+    def is_identity(self):
+        return self == self.group.identity
+
+    @property
+    def length(self):
+        d = self.group.datum
+        return sum(1 for a in d.positive_roots
+                   if d.root_sign(self.apply_weight(a)) < 0)
+
+    @property
+    def word(self):
+        """Lexicographically least reduced word, by left descents."""
+        if self._word is None:
+            d = self.group.datum
+            w, letters = self, []
+            while not w.is_identity:
+                winv = w.inverse()
+                i = next(i for i, a in enumerate(d.simple_roots)
+                         if d.root_sign(winv.apply_weight(a)) < 0)
+                letters.append(i)
+                w = self.group.simples[i] * w
+            self._word = tuple(letters)
+        return self._word
+
+
+class MatrixWeylGroup:
+    def __init__(self, datum):
+        self.datum = datum
+        n = datum.rank
+        eye = tuple(tuple(1 if i == j else 0 for j in range(n))
+                    for i in range(n))
+        self.pool = {}
+        self.identity = self.intern(eye, eye)
+        self.simples = []
+        for a, av in zip(datum.simple_roots, datum.simple_coroots):
+            wm = tuple(tuple((1 if i == j else 0) - a[i] * av[j]
+                             for j in range(n)) for i in range(n))
+            cm = tuple(tuple((1 if i == j else 0) - av[i] * a[j]
+                             for j in range(n)) for i in range(n))
+            self.simples.append(self.intern(wm, cm))
+        order, seen, frontier = [self.identity], {self.identity}, \
+            [self.identity]
+        while frontier:
+            new = []
+            for w in frontier:
+                for s in self.simples:
+                    t = w * s
+                    if t not in seen:
+                        seen.add(t)
+                        new.append(t)
+            new.sort(key=lambda w: w.wm)
+            order.extend(new)
+            frontier = new
+        self.elements = tuple(order)
+        self.index = {w: i for i, w in enumerate(self.elements)}
+
+    def intern(self, wm, cm):
+        el = self.pool.get(wm)
+        if el is None:
+            el = self.pool[wm] = MatrixElement(self, wm, cm)
+        return el
