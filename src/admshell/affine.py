@@ -238,9 +238,6 @@ class AcutePresentation:
         y_aff = AffineElement.from_finite(self.y)
         return x_aff * AffineElement.translation_of(self.datum, self.lam) * y_aff
 
-    def slack(self, alpha):
-        return self._slack(self.datum.root_index[tuple(alpha)])
-
     def _slack(self, i):
         npos = self.datum.num_positive
         dx = self.x.perm[i] >= npos

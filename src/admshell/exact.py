@@ -1,7 +1,10 @@
-"""Small exact linear-algebra helpers over the rationals.
+"""Exact vector helpers on integer tuples, and the one rational solver.
 
-Everything here works on tuples of ints/Fractions; no floats anywhere so that
-root and coweight comparisons are exact.
+Root quantities are integers read from the datum's root table; only
+``solve_linear`` builds ``Fraction``s, for values that are truly rational
+(coordinates in the fundamental coweights or in the simple coroots, and the
+separating coweight of the label order).  No floats anywhere, so root and
+coweight comparisons are exact.
 """
 
 from fractions import Fraction
@@ -47,22 +50,6 @@ def solve_linear(cols, target):
         if s != target[i]:
             return None
     return tuple(x)
-
-
-def nonneg_integer_coords(cols, target):
-    """Coordinates of target as a nonnegative *integer* combination of cols.
-
-    Returns a tuple of ints or None.
-    """
-    x = solve_linear(cols, target)
-    if x is None:
-        return None
-    out = []
-    for v in x:
-        if v.denominator != 1 or v < 0:
-            return None
-        out.append(int(v))
-    return tuple(out)
 
 
 def vec_add(u, v):

@@ -16,14 +16,18 @@ in three steps:
 2. sort it by a lexicographic sequence of linear-functional ratios.  Ratios of
    linear forms turn positive combinations into convex combinations of key
    vectors, so any such sort respects betweenness; the leading functional is
-   chosen to put all class-1 roots first;
+   chosen to put all class-1 roots first.  Every ratio has the integer height
+   ``H = <2rho^vee, root> + scale*level`` as its denominator, which is positive
+   on positive affine roots; with ``M`` the lcm of the heights, the key of a
+   root is its numerators times ``M // H``, an integer tuple that compares as
+   the ratios do;
 3. repair the order so the K-subsystem forms a prefix, by the front-insertion
    move that re-sorts the displaced prefix through the reflection.
 
 The result is verified invariant-by-invariant; failure is a hard error.
 """
 
-from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, PropertyViolation
 from .exact import dot, solve_linear, vec_neg
@@ -331,22 +335,36 @@ def repair_step(datum, K, order_list, s_root):
 
 
 def _separating_vector(datum, Jp, cap):
-    """Rational v with <v,.> + level negative exactly on the class-1 roots."""
+    """Integers (P, D), D > 0, with v = P/D and <v,.> + level negative
+    exactly on the class-1 roots."""
     ns = datum.nsimple
     cols = [tuple(a[i] for a in datum.simple_roots) for i in range(datum.rank)]
     target = tuple(0 if j in Jp else 1 for j in range(ns))
     lam = solve_linear(cols, target)
     if lam is None:
         raise PropertyViolation("no coweight separates the K-directions")
+    den = lcm(*(x.denominator for x in lam))
     rho_p = [0] * datum.rank
     for a, av in zip(datum.positive_roots, datum.positive_coroots):
         if datum.root_support(a) <= Jp:
             rho_p = [x + y for x, y in zip(rho_p, av)]
-    finite_parts = {ar for ar in datum._sign}
-    R = max([1] + [abs(dot(rho_p, a)) for a in finite_parts])
-    vs = Fraction(1, 2 * (R + 1))
-    vb = Fraction(cap + 1)
-    return tuple(vb * l - vs * r for l, r in zip(lam, rho_p))
+    R = max([1] + [abs(dot(rho_p, a)) for a in datum.roots])
+    # v = (cap + 1) * lam - rho_p / (2 * (R + 1))
+    big = (cap + 1) * 2 * (R + 1)
+    P = tuple(big * x.numerator * (den // x.denominator) - den * r
+              for x, r in zip(lam, rho_p))
+    return P, 2 * (R + 1) * den
+
+
+def _order_keys(datum, S, P, D):
+    """Integer sort key of each root in S; see step 2 of the module notes."""
+    scale = 1 + max(dot(datum.two_rho_coroot, a) for a in datum.positive_roots)
+    height = {ar: dot(datum.two_rho_coroot, ar.root) + scale * ar.level
+              for ar in S}
+    M = lcm(*height.values())
+    return {ar: tuple(c * (M // height[ar]) for c in
+                      (dot(P, ar.root) + D * ar.level, ar.level) + ar.root)
+            for ar in S}
 
 
 def build_label_order(poset):
@@ -358,24 +376,17 @@ def build_label_order(poset):
     S, cap, capped = relevant_closure(datum, K, seeds, phi_K)
     classify = make_classifier(datum, K, phi_K)
     Jp = finite_subsystem_indices(datum, K)
-    v = _separating_vector(datum, Jp, cap)
-
-    def g1(ar):
-        return dot(v, ar.root) + ar.level
-
+    P, D = _separating_vector(datum, Jp, cap)
+    key = _order_keys(datum, S, P, D)
     for ar in S:
-        if (g1(ar) < 0) != (classify(ar) == 1):
+        # M // H > 0, so the leading entry has the sign of <v, root> + level
+        if (key[ar][0] < 0) != (classify(ar) == 1):
             raise PropertyViolation(
                 f"separating functional misclassifies {datum.format_affine(ar)}")
 
-    def key(ar):
-        L = datum.affine_height(ar)
-        return tuple(Fraction(g, 1) / L
-                     for g in (g1(ar), ar.level) + ar.root)
-
-    ordered = sorted(S, key=key)
+    ordered = sorted(S, key=key.__getitem__)
     for x, y in zip(ordered, ordered[1:]):
-        if key(x) == key(y):
+        if key[x] == key[y]:
             raise PropertyViolation("tied sort keys in the label order")
 
     guard = len(S) * len(S) + 1

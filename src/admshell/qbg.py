@@ -9,7 +9,7 @@ produced by local rewriting.
 
 from collections import namedtuple
 
-from .errors import InputError, PropertyViolation
+from .errors import PropertyViolation
 from .exact import vec_add
 
 Edge = namedtuple("Edge", "src dst root_idx quantum weight")
@@ -23,7 +23,6 @@ class QuantumBruhatGraph:
         n = len(self.group)
         zero = (0,) * datum.rank
         self.out = [[] for _ in range(n)]
-        self.into = [[] for _ in range(n)]
         for i, w in enumerate(self.group.elements):
             lw = w.length
             for r, (a, av) in enumerate(zip(datum.positive_roots,
@@ -37,7 +36,6 @@ class QuantumBruhatGraph:
                 else:
                     continue
                 self.out[i].append(e)
-                self.into[j].append(e)
         for i in range(n):
             self.out[i].sort(key=lambda e: (e.quantum, e.root_idx))
         self._dist = [None] * n
@@ -57,22 +55,20 @@ class QuantumBruhatGraph:
             while frontier:
                 new = []
                 for a in frontier:
+                    da, wa = dist[a] + 1, wt[a]
                     for e in self.out[a]:
                         b = e.dst
                         if dist[b] is None:
-                            dist[b] = dist[a] + 1
-                            wt[b] = vec_add(wt[a], e.weight)
+                            dist[b] = da
+                            wt[b] = vec_add(wa, e.weight)
                             new.append(b)
+                        # every shortest-path DAG edge must agree on the weight
+                        elif dist[b] == da and vec_add(wa, e.weight) != wt[b]:
+                            raise PropertyViolation(
+                                "shortest paths with different weights")
                 frontier = new
             if any(d is None for d in dist):
                 raise PropertyViolation("quantum Bruhat graph is not connected")
-            # every shortest-path DAG edge must agree on the weight
-            for a in range(n):
-                for e in self.out[a]:
-                    if dist[e.dst] == dist[a] + 1 \
-                            and vec_add(wt[a], e.weight) != wt[e.dst]:
-                        raise PropertyViolation(
-                            "shortest paths with different weights")
             self._dist[i] = dist
             self._wt[i] = wt
         return self._dist[i], self._wt[i]

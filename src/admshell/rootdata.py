@@ -4,12 +4,16 @@ A datum holds dual lattices X^* and X_* realised as Z^n with the standard dot
 pairing.  Roots live in X^*, coroots in X_*.  Presets cover the classical
 series in simply-connected or adjoint lattices, GL_n, and binary products;
 explicit simple roots/coroots are accepted too.
+
+The root system is one indexed table: ``roots`` (positive roots, then their
+negatives), with ``coroots`` and the integer simple-root coordinates
+``root_coords`` aligned with it and ``root_index`` mapping a root to its index.
 """
 
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import dot, solve_linear, vec_add, vec_neg, vec_sub
+from .exact import dot, solve_linear, vec_neg, vec_sub
 
 
 class AffineRoot:
@@ -155,37 +159,39 @@ class RootDatum:
                                  "(<alpha_i^vee, 2rho> != 2)")
         self.two_rho_coroot = tuple(
             sum(cv[i] for cv in self.positive_coroots) for i in range(self.rank))
-        self._L_scale = 1 + max(dot(self.two_rho_coroot, a)
-                                for a in self.positive_roots)
 
     # -- construction ------------------------------------------------------
 
     def _build_roots(self):
+        # Reflection by s_j subtracts <alpha_j^vee, root> from coordinate j,
+        # so each root carries its simple-root coordinates as integers.  The
+        # simple roots are independent (the Cartan matrix is nonsingular), so
+        # the coordinates of a root do not depend on how it was reached.
+        n = self.nsimple
         simple = list(zip(self.simple_roots, self.simple_coroots))
-        seen = dict(simple)
-        frontier = list(simple)
+        seen = {a: (av, tuple(int(i == j) for i in range(n)))
+                for j, (a, av) in enumerate(simple)}
+        frontier = list(seen)
         while frontier:
             new = []
-            for root, coroot in frontier:
-                for a, av in simple:
-                    r2 = vec_sub(root, tuple(dot(av, root) * c for c in a))
+            for root in frontier:
+                coroot, coords = seen[root]
+                for j, (a, av) in enumerate(simple):
+                    k = dot(av, root)
+                    r2 = vec_sub(root, tuple(k * c for c in a))
                     c2 = vec_sub(coroot, tuple(dot(coroot, a) * c for c in av))
                     if r2 not in seen:
-                        seen[r2] = c2
-                        new.append((r2, c2))
-                    elif seen[r2] != c2:
+                        x2 = coords[:j] + (coords[j] - k,) + coords[j + 1:]
+                        seen[r2] = (c2, x2)
+                        new.append(r2)
+                    elif seen[r2][0] != c2:
                         raise InputError("inconsistent root/coroot data")
             frontier = new
         pos = []
-        for root, coroot in seen.items():
-            coords = solve_linear(self.simple_roots, root)
-            if coords is None:
-                raise InputError("generated root outside the simple-root span")
-            if any(c.denominator != 1 for c in coords):
-                raise InputError("non-integral root coordinates")
-            if all(c >= 0 for c in coords):
-                pos.append((root, coroot, tuple(int(c) for c in coords)))
-            elif not all(c <= 0 for c in coords):
+        for root, (coroot, coords) in seen.items():
+            if min(coords) >= 0:
+                pos.append((root, coroot, coords))
+            elif max(coords) > 0:
                 raise InputError("root with mixed-sign coordinates; "
                                  "not a valid based root datum")
         for root, _, _ in pos:
@@ -196,24 +202,15 @@ class RootDatum:
         pos.sort(key=lambda t: (sum(t[2]), t[2]))
         self.positive_roots = tuple(p[0] for p in pos)
         self.positive_coroots = tuple(p[1] for p in pos)
-        self._simple_coords = {p[0]: p[2] for p in pos}
         self.num_positive = len(pos)
         # index i < num_positive: a positive root; i + num_positive: its negative
         self.roots = self.positive_roots + tuple(
             vec_neg(a) for a in self.positive_roots)
         self.coroots = self.positive_coroots + tuple(
             vec_neg(av) for av in self.positive_coroots)
+        half = tuple(p[2] for p in pos)
+        self.root_coords = half + tuple(vec_neg(x) for x in half)
         self.root_index = {a: i for i, a in enumerate(self.roots)}
-        self._sign = {}
-        self._coroot = {}
-        for root, coroot in seen.items():
-            if root in self._simple_coords:
-                self._sign[root] = 1
-            else:
-                self._sign[root] = -1
-                self._simple_coords[root] = tuple(
-                    -c for c in self._simple_coords[vec_neg(root)])
-            self._coroot[root] = coroot
 
     def _build_components(self):
         n = self.nsimple
@@ -232,20 +229,17 @@ class RootDatum:
                         comp_of[b] = len(comps)
                         stack.append(b)
             comps.append(tuple(sorted(comp)))
-        self._comp_of_simple = tuple(comp_of)
         components = []
         for comp in comps:
-            member = [r for r in self.positive_roots
+            member = [i for i in range(self.num_positive)
                       if all(c == 0 or j in comp
-                             for j, c in enumerate(self._simple_coords[r]))]
-            theta = max(member, key=lambda r: sum(self._simple_coords[r]))
-            for r in member:
-                diff = vec_sub(theta, r)
-                dc = solve_linear(self.simple_roots, diff)
-                if dc is None or any(c < 0 for c in dc):
+                             for j, c in enumerate(self.root_coords[i]))]
+            top = max(member, key=lambda i: sum(self.root_coords[i]))
+            for i in member:
+                if min(vec_sub(self.root_coords[top], self.root_coords[i])) < 0:
                     raise InputError("highest root is not highest; "
                                      "component data inconsistent")
-            components.append((comp, theta, self._coroot[theta]))
+            components.append((comp, self.roots[top], self.coroots[top]))
         self.components = tuple(components)
 
     # -- basic queries -----------------------------------------------------
@@ -256,19 +250,19 @@ class RootDatum:
         return dot(coweight, weight)
 
     def is_root(self, vec):
-        return tuple(vec) in self._sign
+        return tuple(vec) in self.root_index
 
     def root_sign(self, vec):
-        return self._sign[tuple(vec)]
+        return 1 if self.root_index[tuple(vec)] < self.num_positive else -1
 
     def coroot(self, vec):
-        return self._coroot[tuple(vec)]
+        return self.coroots[self.root_index[tuple(vec)]]
 
     def simple_coords(self, vec):
-        return self._simple_coords[tuple(vec)]
+        return self.root_coords[self.root_index[tuple(vec)]]
 
     def root_support(self, vec):
-        return frozenset(i for i, c in enumerate(self._simple_coords[tuple(vec)])
+        return frozenset(i for i, c in enumerate(self.simple_coords(vec))
                          if c != 0)
 
     def is_dominant(self, mu):
@@ -282,36 +276,25 @@ class RootDatum:
         return tuple(out)
 
     def is_positive_affine(self, ar):
-        if not self.is_root(ar.root):
+        i = self.root_index.get(ar.root)
+        if i is None:
             raise InputError(f"{ar.root} is not a root")
-        if self._sign[ar.root] > 0:
-            return ar.level >= 0
-        return ar.level >= 1
+        return ar.level >= (0 if i < self.num_positive else 1)
 
-    def affine_root_arith(self, ar1, c1, ar2, c2):
-        """c1*ar1 + c2*ar2 if it lands in the affine root system, else None."""
-        c1, c2 = Fraction(c1), Fraction(c2)
-        vec = tuple(c1 * a + c2 * b for a, b in zip(ar1.root, ar2.root))
-        lvl = c1 * ar1.level + c2 * ar2.level
-        if lvl.denominator != 1 or any(v.denominator != 1 for v in vec):
+    def coroot_coords(self, vec):
+        """Integer coordinates of vec in the simple coroots, or None."""
+        coords = solve_linear(self.simple_coroots, vec)
+        if coords is None or any(c.denominator != 1 for c in coords):
             return None
-        vec = tuple(int(v) for v in vec)
-        if not self.is_root(vec):
-            return None
-        return AffineRoot(vec, int(lvl))
-
-    # level part scaled into (0,1) so this is positive on all of Phi+_aff
-    def affine_height(self, ar):
-        return Fraction(dot(self.two_rho_coroot, ar.root), self._L_scale) + ar.level
+        return tuple(int(c) for c in coords)
 
     def in_coroot_cone(self, vec):
         """Is vec a nonnegative integer combination of simple coroots?"""
         vec = tuple(vec)
         hit = self._cone.get(vec)
         if hit is None:
-            from .exact import nonneg_integer_coords
-            hit = nonneg_integer_coords(self.simple_coroots, vec) is not None
-            self._cone[vec] = hit
+            c = self.coroot_coords(vec)
+            hit = self._cone[vec] = c is not None and min(c) >= 0
         return hit
 
     def pairing_row(self, lam):
@@ -329,7 +312,7 @@ class RootDatum:
         independent.  Each row (gamma, sn, tn, den) has den > 0, sn > 0,
         tn > 0 and sn*r1 + tn*r2 == den*gamma, so s = sn/den and t = tn/den.
         den is |det| of the first non-zero 2x2 minor of (r1, r2); rows follow
-        the order of the root list.  Filled one pair at a time, on first use.
+        the order of ``roots``.  Filled one pair at a time, on first use.
         """
         key = (r1, r2)
         rows = self._pair_table.get(key)
@@ -344,7 +327,7 @@ class RootDatum:
             det = r1[i] * r2[j] - r1[j] * r2[i]
             sign = 1 if det > 0 else -1
             den = sign * det
-            for gamma in self._sign:
+            for gamma in self.roots:
                 sn = sign * (gamma[i] * r2[j] - gamma[j] * r2[i])
                 tn = sign * (r1[i] * gamma[j] - r1[j] * gamma[i])
                 if sn <= 0 or tn <= 0:
@@ -372,7 +355,7 @@ class RootDatum:
     # -- rendering ----------------------------------------------------------
 
     def format_root(self, vec):
-        coords = self._simple_coords[tuple(vec)]
+        coords = self.simple_coords(vec)
         parts = []
         for i, c in enumerate(coords):
             if c == 0:
@@ -385,8 +368,8 @@ class RootDatum:
         return f"({self.format_root(ar.root)},{ar.level})"
 
     def format_coweight(self, vec):
-        coords = solve_linear(self.simple_coroots, vec)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = self.coroot_coords(vec)
+        if coords is None:
             return "(" + ",".join(str(c) for c in vec) + ")"
         parts = []
         for i, c in enumerate(coords):

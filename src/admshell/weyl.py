@@ -270,15 +270,3 @@ class WeylGroup:
         d = self.datum
         npos = d.num_positive
         return [d.roots[i] for i in range(npos) if w.perm[i] >= npos]
-
-    def max_deodhar_lift(self, base, P, bound):
-        """Unique maximal element of W_P * base that is <= bound."""
-        if not self.bruhat_leq(base, bound):
-            raise InputError("max_deodhar_lift requires base <= bound")
-        coset = {p * base for p in self.subgroup([self.simples[i] for i in P])}
-        cands = [w for w in coset if self.bruhat_leq(w, bound)]
-        maximal = [w for w in cands
-                   if not any(x != w and self.bruhat_leq(w, x) for x in cands)]
-        if len(maximal) != 1:
-            raise AssertionError("Deodhar lift is not unique")
-        return maximal[0]

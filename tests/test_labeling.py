@@ -12,7 +12,12 @@ from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       build_root_datum, label_edges, make_classifier,
                       repair_step, subsystem_positive)
 from admshell.admissible import canonical_K
-from admshell.labeling import _pair_combinations, defect, format_label
+from admshell.cli import _parse_K, _parse_mu
+from admshell.exact import dot, solve_linear
+from admshell.labeling import (_order_keys, _pair_combinations,
+                               _separating_vector, defect,
+                               finite_subsystem_indices, format_label,
+                               relevant_closure)
 from admshell.affine import AffineElement, simple_reflection
 from admshell.rootdata import AffineRoot
 from conftest import (MATRIX, datum, matrix_entries, pipeline,
@@ -300,7 +305,7 @@ def reference_pair_combinations(datum, a1, a2, cap):
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                     if r1[i] * r2[j] - r1[j] * r2[i] != 0)
         det = r1[i] * r2[j] - r1[j] * r2[i]
-        for gamma in datum._sign:
+        for gamma in datum.roots:
             s = Fraction(gamma[i] * r2[j] - gamma[j] * r2[i], det)
             t = Fraction(r1[i] * gamma[j] - r1[j] * gamma[i], det)
             if s <= 0 or t <= 0:
@@ -334,3 +339,49 @@ def test_datum_is_freed_after_cone_queries():
     del d
     gc.collect()
     assert ref() is None
+
+
+def reference_sorted_relevant(d, Jp, cap, S):
+    """The relevant set sorted by the Fraction key of the label order before
+    its integer key, and whether two neighbours tie."""
+    cols = [tuple(a[i] for a in d.simple_roots) for i in range(d.rank)]
+    lam = solve_linear(cols, tuple(0 if j in Jp else 1
+                                   for j in range(d.nsimple)))
+    rho_p = [0] * d.rank
+    for a, av in zip(d.positive_roots, d.positive_coroots):
+        if d.root_support(a) <= Jp:
+            rho_p = [x + y for x, y in zip(rho_p, av)]
+    R = max([1] + [abs(dot(rho_p, a)) for a in d.roots])
+    v = tuple(Fraction(cap + 1) * l - Fraction(1, 2 * (R + 1)) * r
+              for l, r in zip(lam, rho_p))
+    scale = 1 + max(dot(d.two_rho_coroot, a) for a in d.positive_roots)
+
+    def key(ar):
+        L = Fraction(dot(d.two_rho_coroot, ar.root), scale) + ar.level
+        return tuple(Fraction(g, 1) / L
+                     for g in (dot(v, ar.root) + ar.level, ar.level) + ar.root)
+
+    ordered = sorted(S, key=key)
+    return ordered, any(key(x) == key(y) for x, y in zip(ordered, ordered[1:]))
+
+
+# the ladder and parahoric rows of the benchmark, outside the theorem matrix
+BENCH_ROWS = [("A3-adjoint", "1,1,1", "fw", ""),
+              ("C3-adjoint", "1,0,1", "fw", ""),
+              ("B3-adjoint", "1,0,1", "fw", ""),
+              ("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
+              ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]
+
+
+@pytest.mark.parametrize("name,mu,basis,K", BENCH_ROWS)
+def test_integer_order_key_matches_fraction_key(name, mu, basis, K):
+    d = build_root_datum(name)
+    K = _parse_K(d, K)
+    poset = build_admissible(d, _parse_mu(d, mu, basis), K)
+    seeds = {ar for _, _, ar in poset.covers if ar is not None}
+    S, cap, _ = relevant_closure(d, K, seeds, subsystem_positive(d, K))
+    Jp = finite_subsystem_indices(d, K)
+    key = _order_keys(d, S, *_separating_vector(d, Jp, cap))
+    ordered = sorted(S, key=key.__getitem__)
+    ties = any(key[x] == key[y] for x, y in zip(ordered, ordered[1:]))
+    assert (ordered, ties) == reference_sorted_relevant(d, Jp, cap, S)

@@ -1,5 +1,9 @@
+import copy
 import itertools
 
+import pytest
+
+from admshell import PropertyViolation
 from admshell.exact import vec_add, vec_sub
 from conftest import datum
 
@@ -156,3 +160,42 @@ def test_dot_export():
     text = datum("A2").qbg().to_dot()
     assert text.startswith("digraph qbg")
     assert "style=dashed" in text and "style=solid" in text
+
+
+def tampered(name, edit):
+    """A copy of the graph of `name`, with `edit` applied to its edge lists."""
+    g = copy.copy(datum(name).qbg())
+    g.out = [list(es) for es in g.out]
+    g._dist = [None] * len(g.out)
+    g._wt = [None] * len(g.out)
+    edit(g)
+    return g
+
+
+def test_bfs_rejects_incoherent_shortest_path_weights():
+    # the longest element of A2 is reached from the identity along two
+    # length-3 upward paths; a weight on one of their last edges splits them
+    W = wgroup("A2")
+    top = W.index[W.longest_element()]
+
+    def corrupt(g):
+        a = next(a for a, es in enumerate(g.out)
+                 if any(e.dst == top and not e.quantum for e in es))
+        k = next(k for k, e in enumerate(g.out[a]) if e.dst == top)
+        g.out[a][k] = g.out[a][k]._replace(weight=(1, 0))
+
+    with pytest.raises(PropertyViolation,
+                       match="shortest paths with different weights"):
+        tampered("A2", corrupt).distance_and_weight(W.identity, top)
+
+
+def test_bfs_rejects_a_disconnected_graph():
+    # the quantum edge s -> e is the only way back to the identity in A1
+    W = wgroup("A1")
+    s = W.index[W.simple(0)]
+
+    def drop(g):
+        g.out[s] = [e for e in g.out[s] if e.dst != W.index[W.identity]]
+
+    with pytest.raises(PropertyViolation, match="not connected"):
+        tampered("A1", drop).distance_and_weight(s, s)

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from admshell import InputError, build_root_datum
+from admshell.exact import solve_linear
 from admshell.rootdata import AffineRoot
-from conftest import datum
+from conftest import MATRIX, datum
 
 
 CLASSICAL_COUNTS = {
@@ -106,35 +109,6 @@ def test_affine_positivity_predicate():
     assert not d.is_positive_affine(AffineRoot(na1, 0))
 
 
-def test_affine_root_arith_examples():
-    d = datum("A2")
-    a1, a2 = d.simple_roots
-    theta = d.components[0][1]
-    got = d.affine_root_arith(AffineRoot(a1, 0), 1, AffineRoot(a2, 0), 1)
-    assert got == AffineRoot(theta, 0)
-    neg = lambda v: tuple(-x for x in v)
-    got = d.affine_root_arith(AffineRoot(a1, 0), 1, AffineRoot(neg(theta), 1), 1)
-    assert got == AffineRoot(neg(a2), 1)
-    d1 = datum("A1")
-    a = d1.simple_roots[0]
-    assert d1.affine_root_arith(AffineRoot(a, 0), 1,
-                                AffineRoot(neg(a), 1), 1) is None
-
-
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "A3"])
-def test_affine_root_arith_commutes_and_closes(name):
-    d = datum(name)
-    roots = [AffineRoot(a, k) for a in d._sign for k in range(4)
-             if d.is_positive_affine(AffineRoot(a, k))]
-    for x in roots:
-        for y in roots:
-            one = d.affine_root_arith(x, 1, y, 2)
-            two = d.affine_root_arith(y, 2, x, 1)
-            assert one == two
-            if one is not None:
-                assert d.is_positive_affine(one)
-
-
 def test_bad_data_rejected():
     with pytest.raises(InputError):
         build_root_datum({"simple_roots": [[1, 0]], "simple_coroots": [[1, 0]]})
@@ -169,3 +143,77 @@ def test_adjoint_variant():
     assert d.num_positive == 4
     for av in d.simple_coroots:
         assert d.pairing(av, d.two_rho) == 2
+
+
+def neg(v):
+    return tuple(-x for x in v)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX) + ["B3", "C3", "D4-adjoint",
+                                                   "A4", "GL4"])
+def test_root_coords_rebuild_the_roots(name):
+    # the integer coordinates carried through root generation are the
+    # coordinates in the simple roots; positive roots have no negative one
+    d = datum(name)
+    assert len(d.root_coords) == len(d.roots) == 2 * d.num_positive
+    for i, (root, coords) in enumerate(zip(d.roots, d.root_coords)):
+        assert all(type(c) is int for c in coords)
+        assert tuple(sum(c * a[k] for c, a in zip(coords, d.simple_roots))
+                     for k in range(d.rank)) == root
+        assert (min(coords) >= 0) == (i < d.num_positive)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "A1xA1", "B3", "D4"])
+def test_pair_table_rows_follow_the_root_list(name):
+    d = datum(name)
+    for r1, r2 in itertools.product(d.roots, repeat=2):
+        if r1 in (r2, neg(r2)):
+            continue
+        idx = [d.root_index[gamma] for gamma, _, _, _ in
+               d.root_pair_table(r1, r2)]
+        assert idx == sorted(set(idx))
+
+
+# The coweight routes before RootDatum.coroot_coords: one exact solve in the
+# simple coroots, then an integrality (and, for the cone, a sign) test.
+def reference_integer_coords(cols, target):
+    x = solve_linear(cols, target)
+    if x is None or any(v.denominator != 1 for v in x):
+        return None
+    return tuple(int(v) for v in x)
+
+
+def reference_nonneg_integer_coords(cols, target):
+    x = reference_integer_coords(cols, target)
+    return None if x is None or any(v < 0 for v in x) else x
+
+
+def reference_format_coweight(d, vec):
+    coords = solve_linear(d.simple_coroots, vec)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        return "(" + ",".join(str(c) for c in vec) + ")"
+    parts = []
+    for i, c in enumerate(coords):
+        if c == 0:
+            continue
+        mag = f"a{i + 1}^" if abs(c) == 1 else f"{abs(c)}a{i + 1}^"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
+    return "".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "A1xA1", "B3"])
+def test_coroot_coords_match_the_solve_route(name):
+    d = build_root_datum(name)
+    for vec in itertools.product(range(-3, 4), repeat=d.rank):
+        coords = d.coroot_coords(vec)
+        assert coords == reference_integer_coords(d.simple_coroots, vec)
+        if coords is not None:
+            assert all(type(c) is int for c in coords)
+            assert tuple(sum(c * av[k] for c, av in zip(coords,
+                                                        d.simple_coroots))
+                         for k in range(d.rank)) == vec
+        in_cone = reference_nonneg_integer_coords(d.simple_coroots, vec)
+        # the second query is answered by the memo
+        assert d.in_coroot_cone(vec) == d.in_coroot_cone(vec) == \
+            (in_cone is not None)
+        assert d.format_coweight(vec) == reference_format_coweight(d, vec)

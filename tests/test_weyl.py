@@ -134,16 +134,6 @@ def test_min_coset_reps():
                         assert (w * u).length == w.length + u.length
 
 
-def test_max_deodhar_lift():
-    W = datum("A2").weyl_group()
-    s1, s2 = W.simple(0), W.simple(1)
-    assert W.max_deodhar_lift(s2, [], s2) == s2
-    assert W.max_deodhar_lift(W.identity, [0], s1 * s2) == s1
-    assert W.max_deodhar_lift(W.identity, [0], s2) == W.identity
-    with pytest.raises(InputError):
-        W.max_deodhar_lift(s1 * s2, [0], s2)
-
-
 ORACLE_DATA = ["A3", "B3", "C3", "G2", "D4", "GL3", "A1xA1"]
 # cut to the rank, neither a root nor a coroot of any datum above
 OFF_LATTICE_POINT = (7, -5, 11, 4)
