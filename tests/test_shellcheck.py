@@ -1,14 +1,17 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       RootLabel, build_admissible, build_label_order,
-                      compute_sigma, label_edges)
+                      build_root_datum, compute_sigma, label_edges)
+from admshell.cli import _parse_K, _parse_mu
 from admshell.rootdata import AffineRoot
 from admshell.shellcheck import LabeledPoset, closure_bits
-from conftest import datum, pipeline
+from conftest import datum, matrix_entries, pipeline
 
 
 def neg(v):
@@ -324,3 +327,33 @@ def test_dot_output(gl3_case):
     text = lp.to_dot()
     assert text.startswith("digraph poset")
     assert '"t[1,0,0] s1 s2" -> "t[0,1,0] s2"' in text
+
+
+# the ladder rows of the benchmark, outside the theorem matrix
+LADDER_ROWS = [("A3-adjoint", "1,1,1", "fw", ""),
+               ("C3-adjoint", "1,0,1", "fw", ""),
+               ("B3-adjoint", "1,0,1", "fw", "")]
+
+
+def ladder_poset(name, mu, basis, K):
+    d = build_root_datum(name)
+    poset = build_admissible(d, _parse_mu(d, mu, basis), _parse_K(d, K))
+    return label_edges(poset, build_label_order(poset))
+
+
+# sha256 over the dual-EL report of every theorem-matrix labeled poset, then
+# of the three ladder posets.  Recorded while the check still made one pass
+# per bottom; a faster check must leave every report byte-identical.
+DUAL_EL_SHA256 = ("b2c99f424401d6b883924a54e1e899f4"
+                  "5284556d93e57094cdb529d22e52009f")
+
+
+def test_dual_el_reports_are_byte_identical():
+    h = hashlib.sha256()
+    posets = [pipeline(name, mu, K)[2] for name, mu, K in matrix_entries()]
+    posets += [ladder_poset(*row) for row in LADDER_ROWS]
+    for lp in posets:
+        h.update(json.dumps(lp.verify_dual_el(), sort_keys=True).encode())
+        h.update(b"\n")
+    assert len(posets) == 399
+    assert h.hexdigest() == DUAL_EL_SHA256
