@@ -58,14 +58,19 @@ class QuantumBruhatGraph:
                     da, wa = dist[a] + 1, wt[a]
                     for e in self.out[a]:
                         b = e.dst
-                        if dist[b] is None:
-                            dist[b] = da
-                            wt[b] = vec_add(wa, e.weight)
-                            new.append(b)
-                        # every shortest-path DAG edge must agree on the weight
-                        elif dist[b] == da and vec_add(wa, e.weight) != wt[b]:
-                            raise PropertyViolation(
-                                "shortest paths with different weights")
+                        if dist[b] is None or dist[b] == da:
+                            # Bruhat edges carry the zero weight: only
+                            # quantum edges build a new tuple
+                            wb = wa if e.weight == zero else vec_add(
+                                wa, e.weight)
+                            if dist[b] is None:
+                                dist[b] = da
+                                wt[b] = wb
+                                new.append(b)
+                            # every shortest-path DAG edge must agree on it
+                            elif wb != wt[b]:
+                                raise PropertyViolation(
+                                    "shortest paths with different weights")
                 frontier = new
             if any(d is None for d in dist):
                 raise PropertyViolation("quantum Bruhat graph is not connected")

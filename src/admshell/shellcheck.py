@@ -1,14 +1,17 @@
 """Graded labeled posets: chain machinery and shellability verification.
 
 Works on plain integer ids so it can host both the admissible posets and
-hand-built fixtures.  The central routine makes one pass per bottom u over the
-up-set of u in increasing length.  Each element v gets the number of weakly
-increasing maximal chains of [u, v] through each of its down-edges, and
-whether the greedy (lexicographically least) chain of [u, v] is increasing.
+hand-built fixtures.  The dual-EL check makes one pass over the elements in
+increasing length that covers every bottom u at once: bit u of a Python int
+stands for u, as in the down- and up-set bitsets.  Each down-edge of v gets
+the bottoms u with at least one and with at least two weakly increasing
+maximal chains of [u, v] through it, and v gets the bottoms whose greedy
+(lexicographically least) chain of [u, v] is increasing.
 """
 
 import itertools
 import json
+from bisect import bisect_left
 
 from .errors import InputError, PropertyViolation
 
@@ -84,7 +87,10 @@ class LabeledPoset:
     def _chain_counts(self, u, mask):
         """{v: edges} for v != u in mask (a subset of up[u]) in increasing
         length; edges are v's down-edges (lo, rank, label, n) into mask, and n
-        counts the weakly increasing maximal chains of [u, v] through it."""
+        counts the weakly increasing maximal chains of [u, v] through it.
+
+        One bottom at a time: it serves distinguished_chain and the detail of
+        the intervals that verify_dual_el finds failing."""
         table = {}
         for v in sorted(_bits_iter(mask & ~(1 << u)),
                         key=self.lengths.__getitem__):
@@ -100,27 +106,68 @@ class LabeledPoset:
     def verify_dual_el(self):
         """Every interval [u, v] must have one weakly increasing maximal chain,
         and it must be the least.  The covers of one element have distinct
-        ranks, so the least chain takes the minimum-rank edge at every step."""
+        ranks, so the least chain takes the minimum-rank edge at every step.
+
+        One pass in increasing length covers every bottom at once.  For each
+        v, with down-edges (lo_i, rank_i) in rank order, it keeps suffix
+        tables over those edges: suf1[k] and suf2[k] hold the bottoms with at
+        least one and at least two increasing chains through edges k.., and
+        pre[k] is the union of down[lo_i] for i < k.  An edge (lo, rank) of v
+        carries [u == lo] plus the saturating sum of lo's edges of rank >=
+        rank (a suffix of lo's tables); sums saturated at 2 decide "count ==
+        1" exactly.  The greedy chain of [u, v] steps into the first lo_i
+        above u, and stays increasing iff u == lo_i, or lo_i's greedy chain
+        is increasing and no edge of lo_i of smaller rank lies above u.
+        Lower covers lie one length down, so only the layer below is kept.
+        Each failing bottom goes back through _chain_counts for its exact
+        counts and reasons."""
+        down = self.down
+        layers = {}
+        for v in range(self.n):
+            layers.setdefault(self.lengths[v], []).append(v)
+        below = {}
         checked = 0
+        failing = {}
+        for length in sorted(layers):
+            table = {}
+            for v in layers[length]:
+                adj = self.down_adj[v]
+                ones, twos = [], []
+                pre = [0]
+                greedy = 0
+                for lo, rank, _ in adj:
+                    ranks, suf1, suf2, lo_pre, lo_greedy = below[lo]
+                    k = bisect_left(ranks, rank)
+                    ones.append((1 << lo) | suf1[k])
+                    twos.append(suf2[k])
+                    greedy |= down[lo] & ~pre[-1] & (
+                        (1 << lo) | (lo_greedy & ~lo_pre[k]))
+                    pre.append(pre[-1] | down[lo])
+                s1 = s2 = 0
+                suf1, suf2 = [0], [0]
+                for a1, a2 in zip(reversed(ones), reversed(twos)):
+                    s2 |= a2 | (s1 & a1)
+                    s1 |= a1
+                    suf1.append(s1)
+                    suf2.append(s2)
+                suf1.reverse()
+                suf2.reverse()
+                table[v] = ([r for _, r, _ in adj], suf1, suf2, pre, greedy)
+                strict = down[v] & ~(1 << v)
+                checked += strict.bit_count()
+                fails = strict & ~(s1 & ~s2 & greedy)
+                for u in _bits_iter(fails):
+                    failing.setdefault(u, []).append(v)
+            below = table
         violations = []
-        for u in range(self.n):
-            if u == self.top:
-                continue
+        for u in sorted(failing):
             table = self._chain_counts(u, self.up[u])
-            greedy = {}
-            for v, edges in table.items():
-                lo, rank = edges[0][:2]
-                greedy[v] = lo == u or (greedy[lo]
-                                        and rank <= table[lo][0][1])
-            for v in sorted(table):
-                checked += 1
+            for v in sorted(failing[u]):
                 c = sum(e[3] for e in table[v])
                 if c != 1:
                     bad = f"{c} label-increasing maximal chains"
-                elif not greedy[v]:
-                    bad = "the increasing chain is not lexicographically least"
                 else:
-                    continue
+                    bad = "the increasing chain is not lexicographically least"
                 chains = self.all_maximal_chains(u, v, cap=24)
                 violations.append({
                     "w": self.names[u],

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
                       RootLabel, build_admissible, build_label_order,
                       build_root_datum, compute_sigma, label_edges)
+from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
 from admshell.rootdata import AffineRoot
 from admshell.shellcheck import LabeledPoset, closure_bits
@@ -92,6 +94,43 @@ def oracle_report(lp):
             "intervals_checked": checked, "violations": violations}
 
 
+def reference_verify_dual_el(lp):
+    """verify_dual_el as one pass per bottom u over the up-set of u: each
+    down-edge gets its count of increasing chains from _chain_counts, and the
+    greedy chain of [u, v] follows the minimum-rank edge into the up-set."""
+    checked = 0
+    violations = []
+    for u in range(lp.n):
+        if u == lp.top:
+            continue
+        table = lp._chain_counts(u, lp.up[u])
+        greedy = {}
+        for v, edges in table.items():
+            lo, rank = edges[0][:2]
+            greedy[v] = lo == u or (greedy[lo]
+                                    and rank <= table[lo][0][1])
+        for v in sorted(table):
+            checked += 1
+            c = sum(e[3] for e in table[v])
+            if c != 1:
+                bad = f"{c} label-increasing maximal chains"
+            elif not greedy[v]:
+                bad = "the increasing chain is not lexicographically least"
+            else:
+                continue
+            chains = lp.all_maximal_chains(u, v, cap=24)
+            violations.append({
+                "w": lp.names[u],
+                "w_prime": lp.names[v],
+                "reason": bad,
+                "chains": [[e[3] for e in ch] for ch in chains],
+            })
+    violations.sort(key=lambda v: (v["w"], v["w_prime"]))
+    return {"status": "PASS" if not violations else "FAIL",
+            "intervals_checked": checked,
+            "violations": violations}
+
+
 @st.composite
 def labeled_graded_posets(draw):
     """Random labeled graded poset with bottom 0 and top n-1.  The covers of
@@ -124,6 +163,12 @@ def labeled_graded_posets(draw):
 @given(labeled_graded_posets())
 def test_verify_dual_el_matches_chain_oracle(lp):
     assert lp.verify_dual_el() == oracle_report(lp)
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeled_graded_posets())
+def test_verify_dual_el_matches_reference(lp):
+    assert lp.verify_dual_el() == reference_verify_dual_el(lp)
 
 
 def ncm_oracle(lp):
@@ -195,7 +240,7 @@ def test_gl3_verify_passes(gl3_case):
     assert rep["violations"] == []
 
 
-def test_gl3_scrambled_order_fails(gl3_case):
+def gl3_scrambled(gl3_case):
     poset, _, _ = gl3_case
     d = poset.datum
     a1, a2 = d.simple_roots
@@ -207,12 +252,59 @@ def test_gl3_scrambled_order_fails(gl3_case):
                  RootLabel(AffineRoot(neg(a1), 1)),
                  RootLabel(AffineRoot(a2, 0))]
     order = LabelOrder.from_labels(d, poset.K, scrambled)
-    lp = label_edges(poset, order)
+    return label_edges(poset, order)
+
+
+def test_gl3_scrambled_order_fails(gl3_case):
+    lp = gl3_scrambled(gl3_case)
     rep = lp.verify_dual_el()
     assert rep["status"] == "FAIL"
     assert rep["violations"]
     first = rep["violations"][0]
     assert first["chains"]
+
+
+# theorem-matrix posets whose label orders are shuffled by a seeded random
+SCRAMBLED = [("A2", (1, 1), ()), ("B2", (1, 1), ()), ("A2", (2, 1), ("a1",))]
+
+
+def scrambled_posets(gl3_case):
+    out = [gl3_scrambled(gl3_case)]
+    for name, mu, K in SCRAMBLED:
+        d = datum(name)
+        poset, order, _ = pipeline(name, mu, canonical_K(d, K))
+        for seed in (1, 2):
+            seq = random.Random(seed).sample(order.sequence,
+                                             len(order.sequence))
+            out.append(label_edges(poset,
+                                   LabelOrder.from_labels(d, poset.K, seq)))
+    return out
+
+
+def test_verify_dual_el_matches_reference_on_scrambled_orders(gl3_case):
+    reasons = set()
+    for lp in scrambled_posets(gl3_case):
+        rep = lp.verify_dual_el()
+        assert rep == reference_verify_dual_el(lp)
+        reasons |= {v["reason"] for v in rep["violations"]}
+    # both failure reasons, with counts of 0 and of at least 2
+    assert {"0 label-increasing maximal chains",
+            "2 label-increasing maximal chains",
+            "3 label-increasing maximal chains",
+            "the increasing chain is not lexicographically least"} <= reasons
+
+
+def test_verify_dual_el_matches_reference_on_small_and_restricted(gl3_case):
+    posets = [LabeledPoset(1, 0, 0, [0], []),
+              LabeledPoset(2, 1, 0, [0, 1], [(1, 0, 0, "x")], ["bot", "top"])]
+    for lp in [gl3_case[2]] + scrambled_posets(gl3_case):
+        coatoms = [lo for lo, _, _ in lp.down_adj[lp.top]]
+        posets += [lp.ideal_restriction(coatoms[:k])
+                   for k in range(1, len(coatoms) + 1)]
+    reports = [lp.verify_dual_el() for lp in posets]
+    assert reports == [reference_verify_dual_el(lp) for lp in posets]
+    assert reports[0]["intervals_checked"] == 0
+    assert any(rep["status"] == "FAIL" for rep in reports)
 
 
 def test_distinguished_chain_gl3(gl3_case):
@@ -236,7 +328,6 @@ def test_distinguished_chain_is_the_increasing_chain():
         if mu is None:
             mu = tuple(sum(av[i] for av in d.simple_coroots)
                        for i in range(d.rank))
-        from admshell.admissible import canonical_K
         poset, order, lp = pipeline(name, mu, canonical_K(d, K))
         for w_id in range(len(poset.elements)):
             sd = compute_sigma(poset, poset.elements[w_id])
@@ -288,7 +379,6 @@ def test_dual_el_implies_coatom_and_ncm():
         d = datum(name)
         mu = tuple(sum(av[i] for av in d.simple_coroots)
                    for i in range(d.rank))
-        from admshell.admissible import canonical_K
         poset, order, lp = pipeline(name, mu, canonical_K(d, K))
         assert lp.verify_dual_el()["status"] == "PASS"
         ok, _ = lp.recursive_coatom_check()
