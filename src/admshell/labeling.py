@@ -8,11 +8,19 @@ in three steps:
    under the K-reflections and under positive rational pair combinations (with
    a level cap; each root past it is recorded once in ``LabelOrder.capped``).
    The closure is a worklist that visits each root once and pairs it with the
-   roots visited before it.  Pair combinations of roots with independent
-   finite parts come from the datum's integer table
-   (``RootDatum.root_pair_table``): ``s*r1 + t*r2 = gamma`` as
-   ``(gamma, sn, tn, den)`` with ``s = sn/den``, ``t = tn/den``, so the level
-   ``s*l1 + t*l2`` is one integer division, and no ``Fraction`` is built;
+   roots visited before it.  It runs on integer codes ``(i, level)``, ``i``
+   an index into ``datum.roots`` (positives first, then their negatives), so
+   negation is ``i +- num_positive`` and positivity is
+   ``level >= (i >= num_positive)``; a K-reflection acts through its
+   permutation of the roots and one pairing row.  One kernel,
+   ``_pair_codes``, gives the pair combinations for the closure and for the
+   convexity check of ``LabelOrder.violations``.  For roots with independent
+   finite parts it reads the datum's table ``RootDatum.root_pair_table``,
+   keyed by root indices: ``s*r1 + t*r2 = gamma`` as ``(g, sn, tn, den)``
+   with ``g`` the index of gamma, ``s = sn/den`` and ``t = tn/den``, so the
+   level ``s*l1 + t*l2`` is one integer division, and no ``Fraction`` is
+   built.  Codes become ``AffineRoot`` objects only in the returned set, the
+   capped list and the violation messages;
 2. sort it by a lexicographic sequence of linear-functional ratios.  Ratios of
    linear forms turn positive combinations into convex combinations of key
    vectors, so any such sort respects betweenness; the leading functional is
@@ -30,7 +38,7 @@ The result is verified invariant-by-invariant; failure is a hard error.
 from math import lcm
 
 from .errors import InputError, PropertyViolation
-from .exact import dot, solve_linear, vec_neg
+from .exact import dot, solve_linear
 from .rootdata import AffineRoot
 from .affine import affine_reflection, simple_reflection
 
@@ -117,37 +125,44 @@ def make_classifier(datum, K, phi_K=None):
     return classify
 
 
-def _pair_combinations(datum, a1, a2, cap):
+def _pair_codes(datum, c1, c2, cap):
     """All c = s*a1 + t*a2 (s,t > 0 rational) in the positive affine roots.
 
-    Returns (combos, overflow): combos with level <= cap, plus a list of the
+    Works on codes: (i, level) stands for the affine root
+    (datum.roots[i], level).  Positives come first in ``roots``, so the
+    negative of root i is i +- num_positive and a code is positive iff
+    level >= (i >= num_positive).  c1 and c2 must be positive.  Returns
+    (combos, overflow): combos with level <= cap, plus a list of the
     capped-out ones.
     """
-    combos, overflow = [], []
-
-    def push(ar):
-        if datum.is_positive_affine(ar):
-            (combos if ar.level <= cap else overflow).append(ar)
-
-    if a1.root == a2.root:
-        lo, hi = sorted((a1.level, a2.level))
-        for m in range(lo + 1, hi):
-            push(AffineRoot(a1.root, m))
-    elif a1.root == vec_neg(a2.root):
-        for base in (a1, a2):
-            for m in range(base.level + 1, cap + 1):
-                push(AffineRoot(base.root, m))
+    i1, l1 = c1
+    i2, l2 = c2
+    npos = datum.num_positive
+    # a level above that of a positive code keeps the root positive
+    if i1 == i2:
+        lo, hi = (l1, l2) if l1 <= l2 else (l2, l1)
+        return ([(i1, m) for m in range(lo + 1, min(hi, cap + 1))],
+                [(i1, m) for m in range(max(lo, cap) + 1, hi)])
+    if i1 - i2 in (npos, -npos):
         # combos past the cap exist at every level; record one witness
-        overflow.append(AffineRoot(a1.root, cap + 1))
-    else:
-        # distinct non-opposite roots are independent: the finite parts fix
-        # (s, t), which then fixes the level
-        l1, l2 = a1.level, a2.level
-        for gamma, sn, tn, den in datum.root_pair_table(a1.root, a2.root):
-            m, rem = divmod(sn * l1 + tn * l2, den)
-            if rem == 0:
-                push(AffineRoot(gamma, m))
+        return ([(i1, m) for m in range(l1 + 1, cap + 1)]
+                + [(i2, m) for m in range(l2 + 1, cap + 1)], [(i1, cap + 1)])
+    # distinct non-opposite roots are independent: the finite parts fix
+    # (s, t), which then fixes the level
+    combos, overflow = [], []
+    for g, sn, tn, den in datum.root_pair_table(i1, i2):
+        m, rem = divmod(sn * l1 + tn * l2, den)
+        if rem == 0 and m >= (g >= npos):
+            (combos if m <= cap else overflow).append((g, m))
     return combos, overflow
+
+
+def _encode(datum, ar):
+    return datum.root_index[ar.root], ar.level
+
+
+def _decode(datum, code):
+    return AffineRoot(datum.roots[code[0]], code[1])
 
 
 def relevant_closure(datum, K, seeds, phi_K):
@@ -157,32 +172,43 @@ def relevant_closure(datum, K, seeds, phi_K):
     paired with every root taken before it.  The rules are monotone, so the
     closure does not depend on the visiting order.  The base has levels at
     most cap, so every root past the cap is logged, once, in ``capped``.
+    The worklist runs on codes (see ``_pair_codes``); a K-reflection
+    t^lam * z sends (i, level) to (perm[i], level - <lam, roots[perm[i]]>).
     """
-    refls = [affine_reflection(datum, ar) for ar in K]
+    npos = datum.num_positive
+    refls = []
+    for ar in K:
+        w = affine_reflection(datum, ar)
+        refls.append((w.finite.perm, datum.pairing_row(w.translation)))
     base = sorted(set(seeds) | set(phi_K), key=lambda ar: (ar.level, ar.root))
     cap = 2 * max([1] + [ar.level for ar in base]) + 1
-    S = set(base)
+    queue = [_encode(datum, ar) for ar in base]
+    S = set(queue)
     capped = {}
-    queue = list(base)
 
-    def visit(ar):
-        if ar in S:
+    def visit(c):
+        if c in S:
             return
-        if ar.level <= cap:
-            S.add(ar)
-            queue.append(ar)
+        if c[1] <= cap:
+            S.add(c)
+            queue.append(c)
         else:
-            capped[ar] = None
+            capped[c] = None
 
     for k, x in enumerate(queue):
-        for w in refls:
-            img = w.act(x)
-            visit(img if datum.is_positive_affine(img) else -img)
+        i, level = x
+        for perm, row in refls:
+            j = perm[i]
+            m = level - row[j]
+            if m < (j >= npos):
+                j, m = (j - npos if j >= npos else j + npos), -m
+            visit((j, m))
         for y in queue[:k]:
-            combos, over = _pair_combinations(datum, y, x, cap)
+            combos, over = _pair_codes(datum, y, x, cap)
             for c in combos + over:
                 visit(c)
-    return S, cap, list(capped)
+    return ({_decode(datum, c) for c in S}, cap,
+            [_decode(datum, c) for c in capped])
 
 
 class LabelOrder:
@@ -234,18 +260,20 @@ class LabelOrder:
         """All violated order invariants, as human-readable strings."""
         d = self.datum
         out = []
-        pos = {ar: i for i, ar in enumerate(self.roots)}
+        codes = [_encode(d, ar) for ar in self.roots]
+        pos = {c: p for p, c in enumerate(codes)}
         cls = self.root_class
-        cap = max([0] + [ar.level for ar in self.roots])
-        for i, x in enumerate(self.roots):
-            for y in self.roots[i + 1:]:
-                combos, _ = _pair_combinations(d, x, y, cap)
-                lo, hi = pos[x], pos[y]
+        cap = max([0] + [level for _, level in codes])
+        for a, x in enumerate(codes):
+            for b, y in enumerate(codes[a + 1:], a + 1):
+                combos, _ = _pair_codes(d, x, y, cap)
                 for c in combos:
                     p = pos.get(c)
-                    if p is not None and not lo < p < hi:
-                        out.append(f"convexity: {d.format_affine(c)} not between "
-                                   f"{d.format_affine(x)} and {d.format_affine(y)}")
+                    if p is not None and not a < p < b:
+                        out.append(
+                            f"convexity: {d.format_affine(_decode(d, c))} "
+                            f"not between {d.format_affine(self.roots[a])} "
+                            f"and {d.format_affine(self.roots[b])}")
         seen2 = False
         for ar in self.roots:
             if cls[ar] == 2:

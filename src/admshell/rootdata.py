@@ -305,19 +305,22 @@ class RootDatum:
             row = self._pairing_rows[lam] = half + tuple(-c for c in half)
         return row
 
-    def root_pair_table(self, r1, r2):
+    def root_pair_table(self, i1, i2):
         """Roots gamma = s*r1 + t*r2 with rational s, t > 0, as integer rows.
 
-        r1 and r2 are distinct, non-opposite roots, hence linearly
-        independent.  Each row (gamma, sn, tn, den) has den > 0, sn > 0,
-        tn > 0 and sn*r1 + tn*r2 == den*gamma, so s = sn/den and t = tn/den.
-        den is |det| of the first non-zero 2x2 minor of (r1, r2); rows follow
-        the order of ``roots``.  Filled one pair at a time, on first use.
+        i1 and i2 index ``roots``: r1 = roots[i1] and r2 = roots[i2] are
+        distinct, non-opposite roots, hence linearly independent.  Each row
+        (g, sn, tn, den) has g the index of gamma in ``roots``, den > 0,
+        sn > 0, tn > 0 and sn*r1 + tn*r2 == den*gamma, so s = sn/den and
+        t = tn/den.  den is |det| of the first non-zero 2x2 minor of
+        (r1, r2); rows follow the order of ``roots``.  Filled one pair at a
+        time, on first use.
         """
-        key = (r1, r2)
+        key = i1 * len(self.roots) + i2
         rows = self._pair_table.get(key)
         if rows is not None:
             return rows
+        r1, r2 = self.roots[i1], self.roots[i2]
         n = len(r1)
         ij = next(((i, j) for i in range(n) for j in range(i + 1, n)
                    if r1[i] * r2[j] - r1[j] * r2[i] != 0), None)
@@ -327,14 +330,14 @@ class RootDatum:
             det = r1[i] * r2[j] - r1[j] * r2[i]
             sign = 1 if det > 0 else -1
             den = sign * det
-            for gamma in self.roots:
+            for g, gamma in enumerate(self.roots):
                 sn = sign * (gamma[i] * r2[j] - gamma[j] * r2[i])
                 tn = sign * (r1[i] * gamma[j] - r1[j] * gamma[i])
                 if sn <= 0 or tn <= 0:
                     continue
-                if all(sn * a + tn * b == den * g
-                       for a, b, g in zip(r1, r2, gamma)):
-                    rows.append((gamma, sn, tn, den))
+                if all(sn * a + tn * b == den * c
+                       for a, b, c in zip(r1, r2, gamma)):
+                    rows.append((g, sn, tn, den))
         rows = self._pair_table[key] = tuple(rows)
         return rows
 

@@ -222,29 +222,32 @@ class LabeledPoset:
             memo[key] = True  # provisional, cycles impossible in a poset
             if self.lengths[top_el] - self.lengths[self.zero] <= 1:
                 return True
-            ordering = sorted(down_adj[top_el],
-                              key=lambda t: (t[0] not in first, t[1], t[0]))
+            ordering = sorted(
+                down_adj[top_el],
+                key=lambda t: (not first >> t[0] & 1, t[1], t[0]))
             ok = coatom_conditions([c for c, _, _ in ordering])
             memo[key] = ok
             return ok
 
         def coatom_conditions(ids):
             # Siblings share a length, so a lower cover z of xj lies below an
-            # earlier xi exactly when it is a lower cover of xi.
+            # earlier xi exactly when it is a lower cover of xi.  fj is the
+            # bitmask of those covers, reachable the union of their down-sets.
             prev = 0
             for xj in ids:
-                fj = frozenset(z for z, _, _ in down_adj[xj] if prev >> z & 1)
+                fj = reachable = 0
+                for z, _, _ in down_adj[xj]:
+                    if prev >> z & 1:
+                        fj |= 1 << z
+                        reachable |= down[z]
                 if not attempt(xj, fj):
                     return False
-                reachable = 0
-                for z in fj:
-                    reachable |= down[z]
                 if prev & down[xj] & ~(1 << xj) & ~reachable:
                     return False
                 prev |= down[xj]
             return True
 
-        ok = attempt(self.top, frozenset())
+        ok = attempt(self.top, 0)
         return ok, [self.names[lo] for lo, _, _ in down_adj[self.top]]
 
     # -- N-Cohen-Macaulay ------------------------------------------------------
@@ -261,10 +264,16 @@ class LabeledPoset:
         a rank; no chain is enumerated.  The coatoms' label-rank order is
         tried first; the search over all orders is exhaustive for at most 6
         maxima and tries only that order above.  The one-element poset fails.
+
+        When the ids are a linear extension of the order (every element
+        below i has an id below i), the largest id of a mask is a maximum;
+        the maxima are then peeled off, largest id first, each clearing its
+        down-set.  Otherwise every element of the mask is tested.
         """
         if self.top == self.zero:
             return False
         down, up, lengths = self.down, self.up, self.lengths
+        linear = all(d >> i == 1 for i, d in enumerate(down))
         hint_pos = {lo: i for i, (lo, _, _)
                     in enumerate(self.down_adj[self.top])}
         memo = {}
@@ -282,8 +291,16 @@ class LabeledPoset:
             got = memo.get(key)
             if got is not None:
                 return got
-            tops = [i for i in _bits_iter(mask)
-                    if not (up[i] & mask & ~(1 << i))]
+            if linear:
+                tops, rest = [], mask
+                while rest:
+                    x = rest.bit_length() - 1
+                    tops.append(x)
+                    rest &= ~down[x]
+                tops.reverse()
+            else:
+                tops = [i for i in _bits_iter(mask)
+                        if not (up[i] & mask & ~(1 << i))]
             if any(lengths[x] - lengths[self.zero] != N for x in tops):
                 ok = False
             elif len(tops) == 1:

@@ -2,8 +2,10 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -14,11 +16,11 @@ from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
 from admshell.exact import dot, solve_linear
-from admshell.labeling import (_order_keys, _pair_combinations,
-                               _separating_vector, defect,
-                               finite_subsystem_indices, format_label,
-                               relevant_closure)
-from admshell.affine import AffineElement, simple_reflection
+from admshell.labeling import (_order_keys, _pair_codes, _separating_vector,
+                               defect, finite_subsystem_indices,
+                               format_label, relevant_closure)
+from admshell.affine import (AffineElement, affine_reflection,
+                             simple_reflection)
 from admshell.rootdata import AffineRoot
 from conftest import (MATRIX, datum, matrix_entries, pipeline,
                       spherical_subsets)
@@ -124,8 +126,7 @@ def test_printed_gl3_order_passes_checker(gl3_case):
     order.check()
 
 
-def test_scrambled_order_fails_checker(gl3_case):
-    poset, _, _ = gl3_case
+def gl3_scrambled(poset):
     d = poset.datum
     a1, a2 = d.simple_roots
     theta = d.components[0][1]
@@ -135,7 +136,15 @@ def test_scrambled_order_fails_checker(gl3_case):
                  EtaLabel(poset.WJK[1]),
                  RootLabel(AffineRoot(neg(a1), 1)),
                  RootLabel(AffineRoot(a2, 0))]
-    order = LabelOrder.from_labels(d, poset.K, scrambled)
+    return LabelOrder.from_labels(d, poset.K, scrambled)
+
+
+def test_scrambled_order_fails_checker(gl3_case):
+    poset, _, _ = gl3_case
+    d = poset.datum
+    a1, a2 = d.simple_roots
+    theta = d.components[0][1]
+    order = gl3_scrambled(poset)
     assert order.violations()
     with pytest.raises(PropertyViolation):
         order.check()
@@ -321,14 +330,134 @@ def reference_pair_combinations(datum, a1, a2, cap):
 @pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "GL3", "A1xA1",
                                   "B3", "C3", "D4"])
 def test_pair_table_matches_fraction_oracle(name):
+    # the code kernel, decoded, against the Fraction solve
     d = build_root_datum(name)
     roots = list(d.positive_roots) + [neg(r) for r in d.positive_roots]
     affine = [AffineRoot(r, m) for r in roots for m in range(4)]
     affine = [ar for ar in affine if d.is_positive_affine(ar)]
     for a1, a2 in itertools.product(affine, repeat=2):
-        for cap in (3, 7):
-            assert _pair_combinations(d, a1, a2, cap) == \
-                reference_pair_combinations(d, a1, a2, cap), (a1, a2, cap)
+        c1 = (d.root_index[a1.root], a1.level)
+        c2 = (d.root_index[a2.root], a2.level)
+        for cap in (1, 3, 7):
+            got = tuple([AffineRoot(d.roots[i], m) for i, m in codes]
+                        for codes in _pair_codes(d, c1, c2, cap))
+            assert got == reference_pair_combinations(d, a1, a2, cap), \
+                (a1, a2, cap)
+
+
+# The label order's pair arithmetic on AffineRoot objects, as it was before
+# the code kernel: the references for relevant_closure and for the convexity
+# loop of LabelOrder.violations.  Only the pair table's index keys are new.
+
+def reference_table_pair_combinations(d, a1, a2, cap):
+    combos, overflow = [], []
+
+    def push(ar):
+        if d.is_positive_affine(ar):
+            (combos if ar.level <= cap else overflow).append(ar)
+
+    if a1.root == a2.root:
+        lo, hi = sorted((a1.level, a2.level))
+        for m in range(lo + 1, hi):
+            push(AffineRoot(a1.root, m))
+    elif a1.root == neg(a2.root):
+        for base in (a1, a2):
+            for m in range(base.level + 1, cap + 1):
+                push(AffineRoot(base.root, m))
+        overflow.append(AffineRoot(a1.root, cap + 1))
+    else:
+        l1, l2 = a1.level, a2.level
+        for g, sn, tn, den in d.root_pair_table(d.root_index[a1.root],
+                                                d.root_index[a2.root]):
+            m, rem = divmod(sn * l1 + tn * l2, den)
+            if rem == 0:
+                push(AffineRoot(d.roots[g], m))
+    return combos, overflow
+
+
+def reference_relevant_closure(d, K, seeds, phi_K):
+    refls = [affine_reflection(d, ar) for ar in K]
+    base = sorted(set(seeds) | set(phi_K), key=lambda ar: (ar.level, ar.root))
+    cap = 2 * max([1] + [ar.level for ar in base]) + 1
+    S = set(base)
+    capped = {}
+    queue = list(base)
+
+    def visit(ar):
+        if ar in S:
+            return
+        if ar.level <= cap:
+            S.add(ar)
+            queue.append(ar)
+        else:
+            capped[ar] = None
+
+    for k, x in enumerate(queue):
+        for w in refls:
+            img = w.act(x)
+            visit(img if d.is_positive_affine(img) else -img)
+        for y in queue[:k]:
+            combos, over = reference_table_pair_combinations(d, y, x, cap)
+            for c in combos + over:
+                visit(c)
+    return S, cap, list(capped)
+
+
+def reference_convexity(order):
+    d = order.datum
+    out = []
+    pos = {ar: i for i, ar in enumerate(order.roots)}
+    cap = max([0] + [ar.level for ar in order.roots])
+    for i, x in enumerate(order.roots):
+        for y in order.roots[i + 1:]:
+            combos, _ = reference_table_pair_combinations(d, x, y, cap)
+            lo, hi = pos[x], pos[y]
+            for c in combos:
+                p = pos.get(c)
+                if p is not None and not lo < p < hi:
+                    out.append(f"convexity: {d.format_affine(c)} not "
+                               f"between {d.format_affine(x)} and "
+                               f"{d.format_affine(y)}")
+    return out
+
+
+def assert_closure_matches_reference(poset):
+    d, K = poset.datum, poset.K
+    seeds = {ar for _, _, ar in poset.covers if ar is not None}
+    phi_K = subsystem_positive(d, K)
+    assert relevant_closure(d, K, seeds, phi_K) == \
+        reference_relevant_closure(d, K, seeds, phi_K)
+
+
+def test_closure_matches_reference_on_theorem_matrix():
+    for name, mu, K in matrix_entries():
+        assert_closure_matches_reference(pipeline(name, mu, K)[0])
+
+
+def test_violations_match_reference_on_scrambled_orders(gl3_case):
+    orders = [gl3_scrambled(gl3_case[0])]
+    for name, mu, K in [("A2", (1, 1), ()), ("B2", (1, 1), ()),
+                        ("A2", (2, 1), ("a1",)), ("B2", (1, 1), ("a2",))]:
+        d = datum(name)
+        poset, order, _ = pipeline(name, mu, canonical_K(d, K))
+        seq = list(order.sequence)
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            orders.append(LabelOrder.from_labels(
+                d, poset.K, rng.sample(seq, len(seq))))
+            swapped = list(seq)
+            for _ in range(3):
+                i, j = rng.sample(range(len(seq)), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+            orders.append(LabelOrder.from_labels(d, poset.K, swapped))
+    fired = 0
+    for order in orders:
+        got = order.violations()
+        convex = reference_convexity(order)
+        assert got == convex + [m for m in got
+                                if not m.startswith("convexity")]
+        fired += bool(convex)
+    assert fired >= len(orders) // 2
 
 
 def test_datum_is_freed_after_cone_queries():
@@ -373,11 +502,21 @@ BENCH_ROWS = [("A3-adjoint", "1,1,1", "fw", ""),
               ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]
 
 
+@lru_cache(maxsize=None)
+def bench_poset(name, mu, basis, K):
+    d = build_root_datum(name)
+    return build_admissible(d, _parse_mu(d, mu, basis), _parse_K(d, K))
+
+
+@pytest.mark.parametrize("name,mu,basis,K", BENCH_ROWS)
+def test_closure_matches_reference_on_bench_rows(name, mu, basis, K):
+    assert_closure_matches_reference(bench_poset(name, mu, basis, K))
+
+
 @pytest.mark.parametrize("name,mu,basis,K", BENCH_ROWS)
 def test_integer_order_key_matches_fraction_key(name, mu, basis, K):
-    d = build_root_datum(name)
-    K = _parse_K(d, K)
-    poset = build_admissible(d, _parse_mu(d, mu, basis), K)
+    poset = bench_poset(name, mu, basis, K)
+    d, K = poset.datum, poset.K
     seeds = {ar for _, _, ar in poset.covers if ar is not None}
     S, cap, _ = relevant_closure(d, K, seeds, subsystem_positive(d, K))
     Jp = finite_subsystem_indices(d, K)

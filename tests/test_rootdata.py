@@ -165,13 +165,20 @@ def test_root_coords_rebuild_the_roots(name):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "A1xA1", "B3", "D4"])
 def test_pair_table_rows_follow_the_root_list(name):
+    # rows name gamma by its index in the root list, in increasing order,
+    # and satisfy sn*r1 + tn*r2 == den*gamma with positive sn, tn, den
     d = datum(name)
-    for r1, r2 in itertools.product(d.roots, repeat=2):
+    for i1, i2 in itertools.product(range(len(d.roots)), repeat=2):
+        r1, r2 = d.roots[i1], d.roots[i2]
         if r1 in (r2, neg(r2)):
             continue
-        idx = [d.root_index[gamma] for gamma, _, _, _ in
-               d.root_pair_table(r1, r2)]
+        rows = d.root_pair_table(i1, i2)
+        idx = [g for g, _, _, _ in rows]
         assert idx == sorted(set(idx))
+        for g, sn, tn, den in rows:
+            assert min(sn, tn, den) > 0
+            assert tuple(sn * a + tn * b for a, b in zip(r1, r2)) == \
+                tuple(den * c for c in d.roots[g])
 
 
 # The coweight routes before RootDatum.coroot_coords: one exact solve in the

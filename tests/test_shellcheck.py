@@ -218,6 +218,30 @@ def test_ncm_check_matches_oracle(lp):
     assert lp.ncm_check() == ncm_oracle(lp)
 
 
+def reversed_ids(lp):
+    """lp with id i renamed n-1-i, so that the ids run against the order."""
+    def r(i):
+        return lp.n - 1 - i
+    return LabeledPoset(lp.n, r(lp.top), r(lp.zero), lp.lengths[::-1],
+                        [(r(up), r(lo), rank, label)
+                         for up, lo, rank, label in lp.covers],
+                        lp.names[::-1])
+
+
+def ids_extend_the_order(lp):
+    return all(d >> i == 1 for i, d in enumerate(lp.down))
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeled_graded_posets())
+def test_ncm_check_peels_and_scans_alike(lp):
+    # lp's ids extend the order, so ncm_check peels the maxima off; the
+    # reversed ids make it test every element of each mask instead
+    rev = reversed_ids(lp)
+    assert ids_extend_the_order(lp) and not ids_extend_the_order(rev)
+    assert lp.ncm_check() == rev.ncm_check() == ncm_oracle(lp)
+
+
 def test_ncm_check_fails_on_two_chains_and_a_point():
     # 0 < a < c and 0 < b < d under one top: the ideals of c and d meet in
     # {0}, which has rank 0, not 1
@@ -355,6 +379,59 @@ def test_recursive_coatom_chain_and_gl3(gl3_case):
     ok, ordering = lp.recursive_coatom_check()
     assert ok
     assert ordering == ["t[0,1,0]", "t[0,0,1]"]
+
+
+def reference_recursive_coatom_check(lp):
+    """recursive_coatom_check with the lower covers that meet the earlier
+    siblings kept as frozensets, as before the bitmask."""
+    down, down_adj = lp.down, lp.down_adj
+    memo = {}
+
+    def attempt(top_el, first):
+        key = (top_el, first)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        memo[key] = True
+        if lp.lengths[top_el] - lp.lengths[lp.zero] <= 1:
+            return True
+        ordering = sorted(down_adj[top_el],
+                          key=lambda t: (t[0] not in first, t[1], t[0]))
+        ok = coatom_conditions([c for c, _, _ in ordering])
+        memo[key] = ok
+        return ok
+
+    def coatom_conditions(ids):
+        prev = 0
+        for xj in ids:
+            fj = frozenset(z for z, _, _ in down_adj[xj] if prev >> z & 1)
+            if not attempt(xj, fj):
+                return False
+            reachable = 0
+            for z in fj:
+                reachable |= down[z]
+            if prev & down[xj] & ~(1 << xj) & ~reachable:
+                return False
+            prev |= down[xj]
+        return True
+
+    ok = attempt(lp.top, frozenset())
+    return ok, [lp.names[lo] for lo, _, _ in down_adj[lp.top]]
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeled_graded_posets())
+def test_recursive_coatom_check_matches_reference(lp):
+    assert lp.recursive_coatom_check() == reference_recursive_coatom_check(lp)
+
+
+def test_recursive_coatom_check_matches_reference_on_scrambled(gl3_case):
+    verdicts = set()
+    for lp in [gl3_case[2]] + scrambled_posets(gl3_case):
+        got = lp.recursive_coatom_check()
+        assert got == reference_recursive_coatom_check(lp)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_recursive_coatom_boolean_lattice():
