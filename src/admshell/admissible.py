@@ -9,6 +9,7 @@ from .errors import InputError, PropertyViolation
 from .exact import vec_add, vec_sub
 from .affine import (AffineElement, acute_presentation_K, affine_reflection,
                      affine_word, covers_down, reflection_root)
+from .labeling import format_label, make_classifier
 from .shellcheck import closure_bits
 
 
@@ -46,8 +47,9 @@ class AdmissiblePoset:
     """Augmented poset of K-minimal elements below the mu-translations.
 
     elements[i] are sorted by (length, translation, word); the formal top
-    element is index len(elements).  covers are (upper, lower, root) with the
-    top-edges carrying root=None (they get their own labels later).
+    element is index len(elements).  covers are (upper, lower, label): an
+    interior edge carries its positive affine root, and the edge from the top
+    to a maximum carries that maximum's element of W^{J,K}.
     """
 
     def __init__(self, datum, mu, K):
@@ -102,8 +104,8 @@ class AdmissiblePoset:
                     self.covers.append((i, j, ar))
         self.maximal_ids = [self.index[AffineElement.translation_of(
             datum, a.apply_coweight(mu))] for a in self.WJK]
-        for m in self.maximal_ids:
-            self.covers.append((self.top, m, None))
+        for m, a in zip(self.maximal_ids, self.WJK):
+            self.covers.append((self.top, m, a))
         self.covers.sort(key=lambda c: (c[0], c[1]))
         self._verify_shape()
         lower = [[] for _ in range(self.top + 1)]
@@ -147,10 +149,6 @@ class AdmissiblePoset:
     def tau(self):
         return self.elements[self.tau_id]
 
-    def eta_order(self):
-        """The total order on W^{J,K} used for the top-edge labels."""
-        return list(self.WJK)
-
     def coset_groups(self):
         """The image of W_K in W_0 and W_J, as element lists, built once."""
         if self._coset_groups is None:
@@ -169,12 +167,6 @@ class AdmissiblePoset:
 
     def to_json_dict(self):
         d = self.datum
-        eta_of = dict(zip(self.maximal_ids, self.WJK))
-        cov = []
-        for up, lo, ar in self.covers:
-            label = d.format_affine(ar) if ar is not None else \
-                f"eta({eta_of[lo].word_str()})"
-            cov.append({"upper": up, "lower": lo, "label": label})
         return {
             "datum": d.name,
             "mu": list(self.mu),
@@ -182,23 +174,23 @@ class AdmissiblePoset:
             "elements": [dict(id=i, **w.describe())
                          for i, w in enumerate(self.elements)],
             "top": self.top,
-            "covers": cov,
+            "covers": [{"upper": up, "lower": lo,
+                        "label": format_label(d, label)}
+                       for up, lo, label in self.covers],
             "maximal": [a.word_str() for a in self.WJK],
         }
 
 
 def build_admissible(datum, mu, K):
-    return AdmissiblePoset(datum, mu, canonical_K(datum, K))
+    return AdmissiblePoset(datum, mu, K)
 
 
-def adm_membership(pres, mu, qbg=None):
+def adm_membership(pres, mu):
     """Membership in the mu-admissible set from one acute presentation."""
     if not pres.is_acute():
         raise InputError("adm_membership needs an acute presentation")
     d = pres.datum
-    if qbg is None:
-        qbg = d.qbg()
-    _, w = qbg.distance_and_weight(pres.x, pres.y.inverse())
+    _, w = d.qbg().distance_and_weight(pres.x, pres.y.inverse())
     return d.in_coroot_cone(vec_sub(vec_sub(mu, pres.lam), w))
 
 
@@ -272,15 +264,13 @@ def compute_sigma(poset, w):
                      sigma_w_JK=sigma_w_JK, a_min_K=a_min_K)
 
 
-def top_two_layer_report(poset, classify=None):
+def top_two_layer_report(poset):
     """Check the description of the next-to-top layer; report per element.
 
-    classify(ar) -> 1|2 tags the label on the minimal-gateway cover; any failed
+    The label on each minimal-gateway cover must be a class-2 root; any failed
     claim raises PropertyViolation.
     """
-    from .labeling import make_classifier
-    if classify is None:
-        classify = make_classifier(poset.datum, poset.K)
+    classify = make_classifier(poset.datum, poset.K)
     d = poset.datum
     qbg = d.qbg()
     height = d.pairing(poset.mu, d.two_rho)

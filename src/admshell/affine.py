@@ -258,13 +258,15 @@ class AcutePresentation:
 
 
 def factorizations(w):
-    """All factorizations w = x t^lam y, one per y in W_0."""
-    d = w.datum
+    """All factorizations w = x t^lam y, one per y in W_0.
+
+    w y^-1 = t^{w.translation} x with x = w.finite y^-1, and
+    t^nu x = x t^{x^-1 nu}, so lam = x^-1 (w.translation).
+    """
     out = []
-    for y in d.weyl_group():
-        part = w * AffineElement.from_finite(y.inverse())
-        x = part.finite
-        lam = x.inverse().apply_coweight(part.translation)
+    for y in w.datum.weyl_group():
+        x = w.finite * y.inverse()
+        lam = x.inverse().apply_coweight(w.translation)
         out.append(AcutePresentation(x, lam, y))
     out.sort(key=lambda p: (p.y.length, p.y.word))
     return out
@@ -289,7 +291,7 @@ def acute_presentation_K(w, K):
     raise PropertyViolation("no K-compatible acute presentation found")
 
 
-def bruhat_leq_via_wt(pres, w2, qbg=None):
+def bruhat_leq_via_wt(pres, w2):
     """Bruhat comparison through quantum-Bruhat-graph weights.
 
     pres: a fixed acute presentation of the smaller candidate; w2: the other
@@ -299,8 +301,7 @@ def bruhat_leq_via_wt(pres, w2, qbg=None):
     d = pres.datum
     if w2.datum is not d:
         raise InputError("elements live over different data")
-    if qbg is None:
-        qbg = d.qbg()
+    qbg = d.qbg()
     yinv = pres.y.inverse()
     for xp in d.weyl_group():
         rest = AffineElement.from_finite(xp.inverse()) * w2

@@ -1,8 +1,10 @@
 """Edge labels and the total order on them.
 
-Interior edges are labeled by positive affine roots; the edges to the formal
-top element get one symbol per extreme translation.  The root order is built
-in three steps:
+A label is a value: an interior edge carries its positive affine root
+(``AffineRoot``) and an edge to the formal top element carries its maximum's
+element of W^{J,K} (a ``WeylElement``).  A ``LabelOrder`` is one sequence of
+such values, and ``format_label`` prints either kind.  The root part of the
+constructed order is built in three steps:
 
 1. collect a finite "relevant" set: every edge label, the K-subsystem, closed
    under the K-reflections and under positive rational pair combinations (with
@@ -32,7 +34,8 @@ in three steps:
 3. repair the order so the K-subsystem forms a prefix, by the front-insertion
    move that re-sorts the displaced prefix through the reflection.
 
-The result is verified invariant-by-invariant; failure is a hard error.
+The elements of W^{J,K} go between the class-1 and the class-2 roots, and
+the result is verified invariant-by-invariant; failure is a hard error.
 """
 
 from math import lcm
@@ -41,44 +44,13 @@ from .errors import InputError, PropertyViolation
 from .exact import dot, solve_linear
 from .rootdata import AffineRoot
 from .affine import affine_reflection, simple_reflection
-
-
-class RootLabel:
-    __slots__ = ("root",)
-
-    def __init__(self, root):
-        self.root = root
-
-    def __eq__(self, other):
-        return isinstance(other, RootLabel) and self.root == other.root
-
-    def __hash__(self):
-        return hash(("root", self.root))
-
-    def __repr__(self):
-        return f"RootLabel({self.root})"
-
-
-class EtaLabel:
-    __slots__ = ("element",)
-
-    def __init__(self, element):
-        self.element = element
-
-    def __eq__(self, other):
-        return isinstance(other, EtaLabel) and self.element == other.element
-
-    def __hash__(self):
-        return hash(("eta", self.element))
-
-    def __repr__(self):
-        return f"EtaLabel({self.element.word_str()})"
+from .weyl import WeylElement
 
 
 def format_label(datum, label):
-    if isinstance(label, RootLabel):
-        return datum.format_affine(label.root)
-    return f"eta({label.element.word_str()})"
+    if isinstance(label, AffineRoot):
+        return datum.format_affine(label)
+    return f"eta({label.word_str()})"
 
 
 def subsystem_positive(datum, K):
@@ -212,41 +184,37 @@ def relevant_closure(datum, K, seeds, phi_K):
 
 
 class LabelOrder:
-    """Total order on the relevant roots plus the top-edge symbols.
+    """Total order on the edge labels, given as one sequence of them.
 
-    In the constructed order the class-1 roots come first, then the eta
-    symbols (by length and word, a linear extension of Bruhat order), then the
-    class-2 roots.  An arbitrary interleaving can be wrapped through
-    from_labels, e.g. to validate a hand-written order.
+    A label is a positive affine root (an interior edge) or an element of
+    the datum's Weyl group (a top edge, its element of W^{J,K}).  ``roots``
+    and ``etas`` are the two kinds in their order; the constructed order has
+    the class-1 roots first, then the etas (by length and word, a linear
+    extension of Bruhat order), then the class-2 roots, and ``violations``
+    checks any other sequence, e.g. a hand-written one, against the same
+    invariants.
     """
 
-    def __init__(self, datum, K, ordered_roots, etas, phi_K=None, capped=(),
-                 sequence=None):
+    def __init__(self, datum, K, sequence, capped=()):
         self.datum = datum
         self.K = tuple(K)
-        self.roots = tuple(ordered_roots)
-        self.phi_K = subsystem_positive(datum, K) if phi_K is None else phi_K
+        self.sequence = tuple(sequence)
+        W = datum.weyl_group()
+        for lbl in self.sequence:
+            if not (isinstance(lbl, AffineRoot) or
+                    isinstance(lbl, WeylElement) and lbl.group is W):
+                raise InputError(f"{lbl!r} is neither an affine root nor "
+                                 "an element of the datum's Weyl group")
+        self.roots = tuple(l for l in self.sequence if isinstance(l, AffineRoot))
+        self.etas = tuple(l for l in self.sequence
+                          if not isinstance(l, AffineRoot))
+        self.phi_K = subsystem_positive(datum, K)
         classify = make_classifier(datum, K, self.phi_K)
         self.root_class = {ar: classify(ar) for ar in self.roots}
-        self.etas = tuple(etas)
         self.capped = tuple(capped)
-        if sequence is None:
-            n1 = sum(1 for ar in self.roots if self.root_class[ar] == 1)
-            if any(self.root_class[ar] == 2 for ar in self.roots[:n1]):
-                raise InputError("constructed root order is not separated")
-            sequence = ([RootLabel(ar) for ar in self.roots[:n1]]
-                        + [EtaLabel(a) for a in self.etas]
-                        + [RootLabel(ar) for ar in self.roots[n1:]])
-        self.sequence = tuple(sequence)
         self._pos = {lbl: i for i, lbl in enumerate(self.sequence)}
         if len(self._pos) != len(self.sequence):
             raise InputError("duplicate label in the order")
-
-    @classmethod
-    def from_labels(cls, datum, K, sequence):
-        roots = [l.root for l in sequence if isinstance(l, RootLabel)]
-        etas = [l.element for l in sequence if isinstance(l, EtaLabel)]
-        return cls(datum, K, roots, etas, sequence=sequence)
 
     def rank(self, label):
         return self._pos[label]
@@ -293,15 +261,15 @@ class LabelOrder:
                 out.append(f"classification: {d.format_affine(ar)} in the "
                            "K-subsystem but not class 1")
         for i, lbl in enumerate(self.sequence):
-            if not isinstance(lbl, EtaLabel):
+            if isinstance(lbl, AffineRoot):
                 continue
             eta = format_label(d, lbl)
             for other in self.sequence[i + 1:]:
-                if isinstance(other, RootLabel) and cls[other.root] == 1:
+                if cls.get(other) == 1:
                     out.append(f"sandwich: class-1 root {format_label(d, other)} "
                                f"after top-edge label {eta}")
             for other in self.sequence[:i]:
-                if isinstance(other, RootLabel) and cls[other.root] == 2:
+                if cls.get(other) == 2:
                     out.append(f"sandwich: class-2 root {format_label(d, other)} "
                                f"before top-edge label {eta}")
         W = d.weyl_group()
@@ -400,7 +368,7 @@ def build_label_order(poset):
     datum = poset.datum
     K = poset.K
     phi_K = subsystem_positive(datum, K)
-    seeds = {ar for _, _, ar in poset.covers if ar is not None}
+    seeds = {ar for up, _, ar in poset.covers if up != poset.top}
     S, cap, capped = relevant_closure(datum, K, seeds, phi_K)
     classify = make_classifier(datum, K, phi_K)
     Jp = finite_subsystem_indices(datum, K)
@@ -432,8 +400,9 @@ def build_label_order(poset):
         if len(defect(ordered, phi_K)) >= len(D):
             raise PropertyViolation("defect repair did not shrink the defect")
 
-    order = LabelOrder(datum, K, ordered, poset.eta_order(),
-                       phi_K=phi_K, capped=capped)
+    n1 = sum(1 for ar in ordered if classify(ar) == 1)
+    order = LabelOrder(datum, K, ordered[:n1] + poset.WJK + ordered[n1:],
+                       capped=capped)
     order.check()
     return order
 
@@ -442,15 +411,10 @@ def label_edges(poset, order):
     """Attach ranks and display strings to every cover; build the checkable poset."""
     from .shellcheck import LabeledPoset
     datum = poset.datum
-    eta_of = dict(zip(poset.maximal_ids, poset.WJK))
     covers = []
-    for up, lo, ar in poset.covers:
-        if ar is None:
-            label = EtaLabel(eta_of[lo])
-        else:
-            if not datum.is_positive_affine(ar):
-                raise InputError("cover carries a non-positive affine root")
-            label = RootLabel(ar)
+    for up, lo, label in poset.covers:
+        if isinstance(label, AffineRoot) and not datum.is_positive_affine(label):
+            raise InputError("cover carries a non-positive affine root")
         covers.append((up, lo, order.rank(label), format_label(datum, label)))
     lengths = [w.length for w in poset.elements]
     lengths.append(max(lengths) + 1 if lengths else 1)

@@ -265,15 +265,18 @@ class LabeledPoset:
         tried first; the search over all orders is exhaustive for at most 6
         maxima and tries only that order above.  The one-element poset fails.
 
-        When the ids are a linear extension of the order (every element
-        below i has an id below i), the largest id of a mask is a maximum;
-        the maxima are then peeled off, largest id first, each clearing its
-        down-set.  Otherwise every element of the mask is tested.
+        The maxima of a mask are peeled off layer by layer: an element of
+        greatest length left in the mask is a maximum of it, whatever the
+        ids are, so the largest id among those is taken, its down-set is
+        cleared, and the peel repeats.
         """
         if self.top == self.zero:
             return False
-        down, up, lengths = self.down, self.up, self.lengths
-        linear = all(d >> i == 1 for i, d in enumerate(down))
+        down, lengths = self.down, self.lengths
+        by_length = {}
+        for i, length in enumerate(lengths):
+            by_length[length] = by_length.get(length, 0) | 1 << i
+        layers = [by_length[k] for k in sorted(by_length, reverse=True)]
         hint_pos = {lo: i for i, (lo, _, _)
                     in enumerate(self.down_adj[self.top])}
         memo = {}
@@ -291,16 +294,15 @@ class LabeledPoset:
             got = memo.get(key)
             if got is not None:
                 return got
-            if linear:
-                tops, rest = [], mask
-                while rest:
-                    x = rest.bit_length() - 1
+            tops, rest = [], mask
+            for layer in layers:
+                while rest & layer:
+                    x = (rest & layer).bit_length() - 1
                     tops.append(x)
                     rest &= ~down[x]
-                tops.reverse()
-            else:
-                tops = [i for i in _bits_iter(mask)
-                        if not (up[i] & mask & ~(1 << i))]
+                if not rest:
+                    break
+            tops.sort()
             if any(lengths[x] - lengths[self.zero] != N for x in tops):
                 ok = False
             elif len(tops) == 1:

@@ -158,43 +158,39 @@ class WeylGroup:
         output and the recorded outputs, rely on.
 
         Right multiplication by a simple reflection is a rank-one update:
-        with alpha simple, cm(w s) = cm(w) - (w alpha^vee) (x) alpha and
-        wm(w s) = wm(w) - (w alpha) (x) alpha^vee, where w alpha^vee and
-        w alpha are lookups.  The weight matrices are kept for two layers
-        only, as sort keys.
+        with alpha simple, cm(w s) = cm(w) - (w alpha^vee) (x) alpha, where
+        w alpha^vee is a lookup.  The pairing is W-invariant, so the weight
+        matrix of w is the transpose of cm(w^-1); a length layer is closed
+        under inversion, so once it is complete its sort keys are at hand.
         """
         d = self.datum
         n = d.rank
         ident = self.identity
         ident._len = 0
-        wm = {ident: ident.cm}     # the identity matrix on both lattices
         placed = {ident.perm}
         order = [ident]
         frontier = [ident]
         depth = 0
         while frontier:
             depth += 1
-            new = {}
+            new = []
             for w in frontier:
-                wp, wcm, wwm = w.perm, w.cm, wm[w]
+                wp, wcm = w.perm, w.cm
                 for s, r in zip(self.simples, self.simple_idx):
                     perm = itemgetter(*s.perm)(wp)
                     if perm in placed:
                         continue
                     placed.add(perm)
-                    a, av = d.roots[r], d.coroots[r]
-                    wa, wav = d.roots[wp[r]], d.coroots[wp[r]]
+                    a, wav = d.roots[r], d.coroots[wp[r]]
                     t = self._pool.get(perm)     # the simples are interned
                     if t is None:
                         t = self._intern(perm, tuple(
                             tuple(wcm[i][j] - wav[i] * a[j] for j in range(n))
                             for i in range(n)))
                     t._len = depth
-                    new[t] = tuple(tuple(wwm[i][j] - wa[i] * av[j]
-                                         for j in range(n)) for i in range(n))
-            frontier = sorted(new, key=new.__getitem__)
+                    new.append(t)
+            frontier = sorted(new, key=lambda t: tuple(zip(*t.inverse().cm)))
             order.extend(frontier)
-            wm = new
         return tuple(order)
 
     def __len__(self):

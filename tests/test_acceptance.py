@@ -11,8 +11,8 @@ import time
 import pytest
 
 import admshell as ash
-from admshell import (AffineElement, EtaLabel, LabelOrder, RootLabel,
-                      compute_sigma, coxeter_subset, top_two_layer_report)
+from admshell import (AffineElement, LabelOrder, compute_sigma,
+                      coxeter_subset, top_two_layer_report)
 from admshell.admissible import canonical_K
 from admshell.affine import acute_presentations, simple_reflection
 from admshell.exact import vec_add, vec_sub
@@ -64,12 +64,10 @@ def test_01_gl3_worked_example():
 
     a1, a2 = d.simple_roots
     theta = d.components[0][1]
-    printed = [RootLabel(AffineRoot(neg(a2), 1)),
-               RootLabel(AffineRoot(neg(theta), 1)),
-               EtaLabel(poset.WJK[0]), EtaLabel(poset.WJK[1]),
-               RootLabel(AffineRoot(neg(a1), 1)),
-               RootLabel(AffineRoot(a2, 0))]
-    printed_order = LabelOrder.from_labels(d, K, printed)
+    printed = [AffineRoot(neg(a2), 1), AffineRoot(neg(theta), 1),
+               poset.WJK[0], poset.WJK[1],
+               AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
+    printed_order = LabelOrder(d, K, printed)
     assert printed_order.violations() == []
     lp_printed = ash.label_edges(poset, printed_order)
     assert lp_printed.verify_dual_el()["status"] == "PASS"
@@ -197,7 +195,6 @@ def test_06_downup_updown():
 def test_07_bruhat_criteria(name, radius):
     t0 = time.perf_counter()
     d = datum(name)
-    qbg = d.qbg()
     elems, leq = affine_ball(name, radius)
     pres_of = {w: acute_presentations(w)[0] for w in elems}
     pairs = 0
@@ -205,7 +202,7 @@ def test_07_bruhat_criteria(name, radius):
         for w1 in elems:
             if w1.length > w2.length:
                 continue
-            got = ash.bruhat_leq_via_wt(pres_of[w1], w2, qbg)
+            got = ash.bruhat_leq_via_wt(pres_of[w1], w2)
             assert got == leq(w1, w2), (w1.name(), w2.name())
             pairs += 1
     W = d.weyl_group()
@@ -216,7 +213,7 @@ def test_07_bruhat_criteria(name, radius):
                 for z in W.min_coset_reps(J)]
         for w in elems:
             oracle = any(leq(w, t) for t in tops)
-            assert ash.adm_membership(pres_of[w], mu, qbg) == oracle
+            assert ash.adm_membership(pres_of[w], mu) == oracle
             checked += 1
     _report(7, f"{name}: weight criterion on {pairs} pairs, membership test "
                f"on {checked} cases ({time.perf_counter() - t0:.1f}s)")

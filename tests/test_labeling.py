@@ -9,10 +9,10 @@ from functools import lru_cache
 
 import pytest
 
-from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
-                      RootLabel, build_admissible, build_label_order,
-                      build_root_datum, label_edges, make_classifier,
-                      repair_step, subsystem_positive)
+from admshell import (InputError, LabelOrder, PropertyViolation,
+                      build_admissible, build_label_order, build_root_datum,
+                      label_edges, make_classifier, repair_step,
+                      subsystem_positive)
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
 from admshell.exact import dot, solve_linear
@@ -102,11 +102,9 @@ def test_constructed_order_gl3(gl3_case):
     # exactly the printed arrangement
     a1, a2 = d.simple_roots
     theta = d.components[0][1]
-    printed = [RootLabel(AffineRoot(neg(a2), 1)),
-               RootLabel(AffineRoot(neg(theta), 1)),
-               EtaLabel(poset.WJK[0]), EtaLabel(poset.WJK[1]),
-               RootLabel(AffineRoot(neg(a1), 1)),
-               RootLabel(AffineRoot(a2, 0))]
+    printed = [AffineRoot(neg(a2), 1), AffineRoot(neg(theta), 1),
+               poset.WJK[0], poset.WJK[1],
+               AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
     ranks = [order.rank(lbl) for lbl in printed]
     assert ranks == sorted(ranks)
 
@@ -116,12 +114,10 @@ def test_printed_gl3_order_passes_checker(gl3_case):
     d = poset.datum
     a1, a2 = d.simple_roots
     theta = d.components[0][1]
-    printed = [RootLabel(AffineRoot(neg(a2), 1)),
-               RootLabel(AffineRoot(neg(theta), 1)),
-               EtaLabel(poset.WJK[0]), EtaLabel(poset.WJK[1]),
-               RootLabel(AffineRoot(neg(a1), 1)),
-               RootLabel(AffineRoot(a2, 0))]
-    order = LabelOrder.from_labels(d, poset.K, printed)
+    printed = [AffineRoot(neg(a2), 1), AffineRoot(neg(theta), 1),
+               poset.WJK[0], poset.WJK[1],
+               AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
+    order = LabelOrder(d, poset.K, printed)
     assert order.violations() == []
     order.check()
 
@@ -130,13 +126,10 @@ def gl3_scrambled(poset):
     d = poset.datum
     a1, a2 = d.simple_roots
     theta = d.components[0][1]
-    scrambled = [EtaLabel(poset.WJK[0]),
-                 RootLabel(AffineRoot(neg(theta), 1)),
-                 RootLabel(AffineRoot(neg(a2), 1)),
-                 EtaLabel(poset.WJK[1]),
-                 RootLabel(AffineRoot(neg(a1), 1)),
-                 RootLabel(AffineRoot(a2, 0))]
-    return LabelOrder.from_labels(d, poset.K, scrambled)
+    scrambled = [poset.WJK[0], AffineRoot(neg(theta), 1),
+                 AffineRoot(neg(a2), 1), poset.WJK[1],
+                 AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
+    return LabelOrder(d, poset.K, scrambled)
 
 
 def test_scrambled_order_fails_checker(gl3_case):
@@ -150,11 +143,11 @@ def test_scrambled_order_fails_checker(gl3_case):
         order.check()
     # one eta moved in front of a class-1 root, and the etas swapped: the
     # messages name both labels and both etas
-    eta0, eta1 = (EtaLabel(x) for x in poset.WJK)
-    late = RootLabel(AffineRoot(neg(theta), 1))
-    swapped = [RootLabel(AffineRoot(neg(a2), 1)), eta1, late, eta0,
-               RootLabel(AffineRoot(neg(a1), 1)), RootLabel(AffineRoot(a2, 0))]
-    bad = LabelOrder.from_labels(d, poset.K, swapped).violations()
+    eta0, eta1 = poset.WJK
+    late = AffineRoot(neg(theta), 1)
+    swapped = [AffineRoot(neg(a2), 1), eta1, late, eta0,
+               AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
+    bad = LabelOrder(d, poset.K, swapped).violations()
     sandwich = [m for m in bad if m.startswith("sandwich")]
     assert sandwich == [f"sandwich: class-1 root {format_label(d, late)} "
                         f"after top-edge label {format_label(d, eta1)}"]
@@ -171,17 +164,34 @@ def test_a1_unlevelled_order():
     poset = build_admissible(d, d.simple_coroots[0], ())
     order = build_label_order(poset)
     a = d.simple_roots[0]
-    r_neg1 = order.rank(RootLabel(AffineRoot(neg(a), 1)))
-    r_zero = order.rank(RootLabel(AffineRoot(a, 0)))
-    etas = [order.rank(EtaLabel(x)) for x in poset.WJK]
+    r_neg1 = order.rank(AffineRoot(neg(a), 1))
+    r_zero = order.rank(AffineRoot(a, 0))
+    etas = [order.rank(x) for x in poset.WJK]
     assert r_neg1 < min(etas) <= max(etas) < r_zero
 
 
 def test_single_root_order_is_trivial():
     d = datum("A1")
-    order = LabelOrder(d, (), [AffineRoot(d.simple_roots[0], 0)], [])
+    order = LabelOrder(d, (), [AffineRoot(d.simple_roots[0], 0)])
     assert order.violations() == []
     assert len(order.serialize()) == 1
+
+
+def test_label_order_rejects_stray_labels(gl3_case):
+    poset, order, _ = gl3_case
+    d = poset.datum
+    seq = list(order.sequence)
+    # only affine roots and elements of this datum's Weyl group are labels
+    with pytest.raises(InputError):
+        LabelOrder(d, poset.K, seq + ["eta(s1)"])
+    other = build_root_datum("GL3")
+    assert other is not d
+    with pytest.raises(InputError):
+        LabelOrder(d, poset.K, seq[:-1] + [other.weyl_group().simple(0)])
+    with pytest.raises(InputError):
+        LabelOrder(d, poset.K, seq + [seq[0]])
+    with pytest.raises(InputError):
+        LabelOrder(d, poset.K, seq + [poset.WJK[0]])
 
 
 def test_repair_step_a1():
@@ -247,7 +257,7 @@ def test_eta_order_refines_bruhat():
             mu = dominant_one(d)
         poset = build_admissible(d, mu, canonical_K(d, K))
         W = d.weyl_group()
-        etas = poset.eta_order()
+        etas = build_label_order(poset).etas
         for i, a in enumerate(etas):
             for b in etas[i + 1:]:
                 assert not (W.bruhat_leq(b, a) and a != b)
@@ -423,7 +433,7 @@ def reference_convexity(order):
 
 def assert_closure_matches_reference(poset):
     d, K = poset.datum, poset.K
-    seeds = {ar for _, _, ar in poset.covers if ar is not None}
+    seeds = {ar for up, _, ar in poset.covers if up != poset.top}
     phi_K = subsystem_positive(d, K)
     assert relevant_closure(d, K, seeds, phi_K) == \
         reference_relevant_closure(d, K, seeds, phi_K)
@@ -443,13 +453,12 @@ def test_violations_match_reference_on_scrambled_orders(gl3_case):
         seq = list(order.sequence)
         for seed in (1, 2, 3):
             rng = random.Random(seed)
-            orders.append(LabelOrder.from_labels(
-                d, poset.K, rng.sample(seq, len(seq))))
+            orders.append(LabelOrder(d, poset.K, rng.sample(seq, len(seq))))
             swapped = list(seq)
             for _ in range(3):
                 i, j = rng.sample(range(len(seq)), 2)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-            orders.append(LabelOrder.from_labels(d, poset.K, swapped))
+            orders.append(LabelOrder(d, poset.K, swapped))
     fired = 0
     for order in orders:
         got = order.violations()
@@ -517,7 +526,7 @@ def test_closure_matches_reference_on_bench_rows(name, mu, basis, K):
 def test_integer_order_key_matches_fraction_key(name, mu, basis, K):
     poset = bench_poset(name, mu, basis, K)
     d, K = poset.datum, poset.K
-    seeds = {ar for _, _, ar in poset.covers if ar is not None}
+    seeds = {ar for up, _, ar in poset.covers if up != poset.top}
     S, cap, _ = relevant_closure(d, K, seeds, subsystem_positive(d, K))
     Jp = finite_subsystem_indices(d, K)
     key = _order_keys(d, S, *_separating_vector(d, Jp, cap))

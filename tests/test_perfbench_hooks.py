@@ -34,3 +34,17 @@ def test_every_traced_entry_point_resolves_to_a_callable():
                for owner, attr in hooks
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_span_attribute_functions_read_the_gl3_pipeline(gl3_case):
+    # the attribute functions read library attributes by name too: a renamed
+    # order.roots, order.capped or poset.full_elements fails here
+    spans = load_spans()
+    poset, order, lp = gl3_case
+    args = (poset.datum, poset.mu, poset.K)
+    assert spans._poset_counts(args, poset) == {
+        "elements": 5, "full_elements": 7, "covers": 7}
+    assert spans._order_counts((poset,), order) == {
+        "relevant_roots": 21, "capped": 18}
+    assert spans._dual_el_counts((lp,), lp.verify_dual_el()) == {
+        "intervals_checked": 12}

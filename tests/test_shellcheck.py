@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admshell import (EtaLabel, InputError, LabelOrder, PropertyViolation,
-                      RootLabel, build_admissible, build_label_order,
-                      build_root_datum, compute_sigma, label_edges)
+from admshell import (InputError, LabelOrder, PropertyViolation,
+                      build_admissible, build_label_order, build_root_datum,
+                      compute_sigma, label_edges)
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
 from admshell.rootdata import AffineRoot
@@ -234,9 +234,9 @@ def ids_extend_the_order(lp):
 
 @settings(deadline=None, max_examples=300)
 @given(labeled_graded_posets())
-def test_ncm_check_peels_and_scans_alike(lp):
-    # lp's ids extend the order, so ncm_check peels the maxima off; the
-    # reversed ids make it test every element of each mask instead
+def test_ncm_check_agrees_on_both_id_layouts(lp):
+    # the layer peel finds the maxima of a mask whether the ids extend the
+    # order (lp) or run against it (the reversed ids)
     rev = reversed_ids(lp)
     assert ids_extend_the_order(lp) and not ids_extend_the_order(rev)
     assert lp.ncm_check() == rev.ncm_check() == ncm_oracle(lp)
@@ -269,13 +269,10 @@ def gl3_scrambled(gl3_case):
     d = poset.datum
     a1, a2 = d.simple_roots
     theta = d.components[0][1]
-    scrambled = [EtaLabel(poset.WJK[0]),
-                 RootLabel(AffineRoot(neg(theta), 1)),
-                 RootLabel(AffineRoot(neg(a2), 1)),
-                 EtaLabel(poset.WJK[1]),
-                 RootLabel(AffineRoot(neg(a1), 1)),
-                 RootLabel(AffineRoot(a2, 0))]
-    order = LabelOrder.from_labels(d, poset.K, scrambled)
+    scrambled = [poset.WJK[0], AffineRoot(neg(theta), 1),
+                 AffineRoot(neg(a2), 1), poset.WJK[1],
+                 AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
+    order = LabelOrder(d, poset.K, scrambled)
     return label_edges(poset, order)
 
 
@@ -300,8 +297,7 @@ def scrambled_posets(gl3_case):
         for seed in (1, 2):
             seq = random.Random(seed).sample(order.sequence,
                                              len(order.sequence))
-            out.append(label_edges(poset,
-                                   LabelOrder.from_labels(d, poset.K, seq)))
+            out.append(label_edges(poset, LabelOrder(d, poset.K, seq)))
     return out
 
 
