@@ -205,9 +205,10 @@ class LabelOrder:
                     isinstance(lbl, WeylElement) and lbl.group is W):
                 raise InputError(f"{lbl!r} is neither an affine root nor "
                                  "an element of the datum's Weyl group")
-        self.roots = tuple(l for l in self.sequence if isinstance(l, AffineRoot))
-        self.etas = tuple(l for l in self.sequence
-                          if not isinstance(l, AffineRoot))
+        self.roots = tuple(lbl for lbl in self.sequence
+                           if isinstance(lbl, AffineRoot))
+        self.etas = tuple(lbl for lbl in self.sequence
+                          if not isinstance(lbl, AffineRoot))
         self.phi_K = subsystem_positive(datum, K)
         classify = make_classifier(datum, K, self.phi_K)
         self.root_class = {ar: classify(ar) for ar in self.roots}
