@@ -148,11 +148,22 @@ def inversions(w):
 
 
 def covers_down(w):
-    """All pairs (w*s_ar, ar) one Bruhat step below w."""
+    """All pairs (w*s_ar, ar) one Bruhat step below w.
+
+    For w = t^lam z and ar = (a, k), s_ar = t^{-k a^vee} s_a, so
+    w*s_ar = t^{lam - k z(a^vee)} (z s_a), where z(a^vee) is the coroot of
+    z(a): both factors are table lookups.
+    """
+    d = w.datum
+    reflections, npos = d.weyl_group().reflections, d.num_positive
+    lam, z = w.translation, w.finite
     lw = w.length
     out = []
     for ar in inversions(w):
-        u = w * affine_reflection(w.datum, ar)
+        i = d.root_index[ar.root]
+        zav = d.coroots[z.perm[i]]
+        u = AffineElement(d, tuple(x - ar.level * c for x, c in zip(lam, zav)),
+                          z * reflections[i % npos])
         if u.length == lw - 1:
             out.append((u, ar))
     out.sort(key=lambda p: (p[0].translation, p[0].finite.word))

@@ -81,8 +81,12 @@ def _parse_sigma(datum, text):
 
 def _emit(args, text):
     if args.out_file and args.out_file != "-":
-        with open(args.out_file, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out_file, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out-file {args.out_file!r}: "
+                             f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -210,8 +210,31 @@ class LabeledPoset:
 
     # -- recursive coatom orderings -------------------------------------------
 
+    def _covers_in(self, x, ideal):
+        """(F, pure) for an order ideal without x: F is the bitmask of the
+        lower covers of x in it, and pure says whether ideal & down(x) is the
+        union of their down-sets, that is, has only covers of x as maxima."""
+        down = self.down
+        F = reach = 0
+        for z, _, _ in self.down_adj[x]:
+            if ideal >> z & 1:
+                F |= 1 << z
+                reach |= down[z]
+        return F, ideal & down[x] == reach
+
+    def _in_order(self, ids, step):
+        """Each x of ids (one length) meets the earlier ones in a pure ideal,
+        with maxima F, and step(x, F) holds."""
+        covers_in, down = self._covers_in, self.down
+        prev = 0
+        for x in ids:
+            F, pure = covers_in(x, prev)
+            if not pure or not step(x, F):
+                return False
+            prev |= down[x]
+        return True
+
     def recursive_coatom_check(self):
-        down, down_adj = self.down, self.down_adj
         memo = {}
 
         def attempt(top_el, first):
@@ -223,32 +246,14 @@ class LabeledPoset:
             if self.lengths[top_el] - self.lengths[self.zero] <= 1:
                 return True
             ordering = sorted(
-                down_adj[top_el],
+                self.down_adj[top_el],
                 key=lambda t: (not first >> t[0] & 1, t[1], t[0]))
-            ok = coatom_conditions([c for c, _, _ in ordering])
-            memo[key] = ok
+            ok = memo[key] = self._in_order([c for c, _, _ in ordering],
+                                            attempt)
             return ok
 
-        def coatom_conditions(ids):
-            # Siblings share a length, so a lower cover z of xj lies below an
-            # earlier xi exactly when it is a lower cover of xi.  fj is the
-            # bitmask of those covers, reachable the union of their down-sets.
-            prev = 0
-            for xj in ids:
-                fj = reachable = 0
-                for z, _, _ in down_adj[xj]:
-                    if prev >> z & 1:
-                        fj |= 1 << z
-                        reachable |= down[z]
-                if not attempt(xj, fj):
-                    return False
-                if prev & down[xj] & ~(1 << xj) & ~reachable:
-                    return False
-                prev |= down[xj]
-            return True
-
         ok = attempt(self.top, 0)
-        return ok, [self.names[lo] for lo, _, _ in down_adj[self.top]]
+        return ok, [self.names[lo] for lo, _, _ in self.down_adj[self.top]]
 
     # -- N-Cohen-Macaulay ------------------------------------------------------
 
@@ -258,64 +263,33 @@ class LabeledPoset:
         An order ideal I of rank N passes iff every maximum of I has rank N
         and the maxima have an order x1, x2, ... in which each
         (down(x1) | ... | down(x_{j-1})) & down(x_j) passes at rank N - 1.
-        Every ideal visited is an intersection of principal ideals, and the
-        lower covers of an element of an order ideal of a graded poset are its
-        covers in the poset, so each such ideal is pure once its maxima share
-        a rank; no chain is enumerated.  The coatoms' label-rank order is
-        tried first; the search over all orders is exhaustive for at most 6
-        maxima and tries only that order above.  The one-element poset fails.
-
-        The maxima of a mask are peeled off layer by layer: an element of
-        greatest length left in the mask is a maximum of it, whatever the
-        ids are, so the largest id among those is taken, its down-set is
-        cleared, and the peel repeats.
+        Each ideal visited is the union of the down-sets of a set F of lower
+        covers of some x, so it is pure with maxima F: the check recurses on
+        (x, F) from (top, coatoms).  F is taken in the label order of
+        down_adj[x], and each later z recurses on its covers in the earlier
+        down-sets (_in_order).  Where that order fails on at most 6 maxima,
+        every order is tried, so a False is exact; above 6 it says only that
+        the label order fails, and then recursive_coatom_check fails too,
+        since it tries that order first at every level.  The one-element
+        poset fails.
         """
         if self.top == self.zero:
             return False
-        down, lengths = self.down, self.lengths
-        by_length = {}
-        for i, length in enumerate(lengths):
-            by_length[length] = by_length.get(length, 0) | 1 << i
-        layers = [by_length[k] for k in sorted(by_length, reverse=True)]
-        hint_pos = {lo: i for i, (lo, _, _)
-                    in enumerate(self.down_adj[self.top])}
         memo = {}
 
-        def try_order(seq, N):
-            prev = down[seq[0]]
-            for x in seq[1:]:
-                if not rec(down[x] & prev, N - 1):
-                    return False
-                prev |= down[x]
-            return True
+        def passes(x, F):
+            if not F & (F - 1):  # at most one maximum
+                return True
+            got = memo.get((x, F))
+            if got is None:
+                seq = [lo for lo, _, _ in self.down_adj[x] if F >> lo & 1]
+                got = memo[x, F] = self._in_order(seq, passes) or (
+                    len(seq) <= 6 and any(self._in_order(p, passes)
+                                          for p in itertools.permutations(seq)))
+            return got
 
-        def rec(mask, N):
-            key = (mask, N)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            tops, rest = [], mask
-            for layer in layers:
-                while rest & layer:
-                    x = (rest & layer).bit_length() - 1
-                    tops.append(x)
-                    rest &= ~down[x]
-                if not rest:
-                    break
-            tops.sort()
-            if any(lengths[x] - lengths[self.zero] != N for x in tops):
-                ok = False
-            elif len(tops) == 1:
-                ok = True
-            else:
-                seq = sorted(tops, key=lambda x: (hint_pos.get(x, self.n), x))
-                ok = try_order(seq, N) or (len(tops) <= 6 and any(
-                    try_order(p, N) for p in itertools.permutations(tops)))
-            memo[key] = ok
-            return ok
-
-        full = ((1 << self.n) - 1) ^ (1 << self.top)
-        return rec(full, lengths[self.top] - lengths[self.zero] - 1)
+        return passes(self.top, sum(1 << lo for lo, _, _
+                                    in self.down_adj[self.top]))
 
     # -- ideal restriction ------------------------------------------------------
 

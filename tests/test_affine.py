@@ -6,7 +6,9 @@ from admshell import (AffineElement, InputError, acute_presentations,
                       length_zero_rep, simple_reflection)
 from admshell.affine import (AcutePresentation, affine_reflection,
                              factorizations, reflection_root)
-from admshell.rootdata import AffineRoot
+from admshell.admissible import build_admissible
+from admshell.cli import _parse_mu
+from admshell.rootdata import AffineRoot, build_root_datum
 from conftest import affine_ball, datum
 
 
@@ -87,6 +89,29 @@ def test_covers_down_gl3_figure():
     assert got == {("t[1,0,0] s1", "(-a1,1)"), ("t[0,1,0] s2", "(a2,0)")}
     tau = length_zero_rep(t010)
     assert covers_down(tau) == []
+
+
+def reference_covers_down(w):
+    """covers_down by the affine product w * s_ar, as before the lookups."""
+    lw = w.length
+    out = [(w * affine_reflection(w.datum, ar), ar) for ar in inversions(w)]
+    out = [(u, ar) for u, ar in out if u.length == lw - 1]
+    out.sort(key=lambda p: (p[0].translation, p[0].finite.word))
+    return out
+
+
+@pytest.mark.parametrize("name, mu, basis", [
+    ("GL4", "2,1,0,0", "ambient"), ("D4-adjoint", "1,0,0,0", "fw"),
+    ("G2", "1,1", "fw"), ("A1xA1", "1,1", "coroot")])
+def test_covers_down_matches_the_affine_product(name, mu, basis):
+    d = build_root_datum(name)
+    poset = build_admissible(d, _parse_mu(d, mu, basis), ())
+    covers = 0
+    for w in poset.elements:
+        got = covers_down(w)
+        assert got == reference_covers_down(w)
+        covers += len(got)
+    assert covers > len(poset.elements)
 
 
 def test_covers_down_a1_against_bruteforce():

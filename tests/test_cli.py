@@ -172,6 +172,29 @@ def test_out_file(tmp_path, capsys):
     assert data["datum"] == "A1"
 
 
+@pytest.mark.parametrize("where", ["missing/poset.json", "."])
+def test_unwritable_out_file_exits_2(tmp_path, capsys, where):
+    # a path under a missing directory, and a directory itself
+    target = str(tmp_path / where)
+    code, out, err = run(capsys, "adm", "--datum", "A1", "--mu", "1",
+                         "--K", "a1", "--out", "json", "--out-file", target)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(target) in err
+
+
+def test_verify_d4_adjoint_row_passes_ncm(capsys):
+    # inner ideals here have up to 10 maxima, past the all-orders search,
+    # and the label order passes them at every level
+    code, out, _ = run(capsys, "verify", "--datum", "D4-adjoint",
+                       "--mu", "2,0,0,0", "--mu-basis", "fw")
+    data = json.loads(out)
+    assert data["dual_el"]["status"] == "PASS"
+    assert data["dual_el"]["intervals_checked"] == 154249
+    assert data["recursive_coatom"]["ok"] is True
+    assert data["ncm"] is True
+    assert code == 0
+
+
 GL3_VERIFY = ("verify", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1")
 
 

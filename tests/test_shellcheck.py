@@ -11,6 +11,7 @@ from admshell import (InputError, LabelOrder, PropertyViolation,
                       compute_sigma, label_edges)
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
+from admshell import shellcheck
 from admshell.rootdata import AffineRoot
 from admshell.shellcheck import LabeledPoset, closure_bits
 from conftest import datum, matrix_entries, pipeline
@@ -235,11 +236,37 @@ def ids_extend_the_order(lp):
 @settings(deadline=None, max_examples=300)
 @given(labeled_graded_posets())
 def test_ncm_check_agrees_on_both_id_layouts(lp):
-    # the layer peel finds the maxima of a mask whether the ids extend the
-    # order (lp) or run against it (the reversed ids)
+    # the verdict must not depend on whether the ids extend the order (lp)
+    # or run against it (the reversed ids)
     rev = reversed_ids(lp)
     assert ids_extend_the_order(lp) and not ids_extend_the_order(rev)
     assert lp.ncm_check() == rev.ncm_check() == ncm_oracle(lp)
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeled_graded_posets())
+def test_recursive_coatom_pass_implies_ncm(lp):
+    # the coatom check tests, at every level, the ideals that the N-CM
+    # recursion tests in label order, and first
+    if lp.recursive_coatom_check()[0]:
+        assert lp.ncm_check()
+
+
+def test_label_order_alone_certifies_the_theorem_matrix(monkeypatch):
+    class NoSearch:
+        @staticmethod
+        def permutations(seq):
+            raise AssertionError("the label order failed on some ideal")
+
+    monkeypatch.setattr(shellcheck, "itertools", NoSearch)
+    checked = 0
+    for name, mu, K in matrix_entries():
+        lp = pipeline(name, mu, K)[2]
+        coatoms = [lo for lo, _, _ in lp.down_adj[lp.top]]
+        for k in range(1, len(coatoms) + 1):
+            assert lp.ideal_restriction(coatoms[:k]).ncm_check()
+            checked += 1
+    assert checked == 691
 
 
 def test_ncm_check_fails_on_two_chains_and_a_point():
