@@ -235,6 +235,7 @@ class LabeledPoset:
         return True
 
     def recursive_coatom_check(self):
+        down_adj = self.down_adj
         memo = {}
 
         def attempt(top_el, first):
@@ -246,14 +247,14 @@ class LabeledPoset:
             if self.lengths[top_el] - self.lengths[self.zero] <= 1:
                 return True
             ordering = sorted(
-                self.down_adj[top_el],
+                down_adj[top_el],
                 key=lambda t: (not first >> t[0] & 1, t[1], t[0]))
             ok = memo[key] = self._in_order([c for c, _, _ in ordering],
                                             attempt)
             return ok
 
         ok = attempt(self.top, 0)
-        return ok, [self.names[lo] for lo, _, _ in self.down_adj[self.top]]
+        return ok, [self.names[lo] for lo, _, _ in down_adj[self.top]]
 
     # -- N-Cohen-Macaulay ------------------------------------------------------
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from admshell import (InputError, LabelOrder, PropertyViolation,
                       build_admissible, build_label_order, build_root_datum,
-                      compute_sigma, label_edges)
+                      compute_sigma, label_edges, shellcheck)
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
-from admshell import shellcheck
 from admshell.rootdata import AffineRoot
 from admshell.shellcheck import LabeledPoset, closure_bits
 from conftest import datum, matrix_entries, pipeline
@@ -246,8 +245,8 @@ def test_ncm_check_agrees_on_both_id_layouts(lp):
 @settings(deadline=None, max_examples=300)
 @given(labeled_graded_posets())
 def test_recursive_coatom_pass_implies_ncm(lp):
-    # the coatom check tests, at every level, the ideals that the N-CM
-    # recursion tests in label order, and first
+    # at every level the coatom check tries the label order of F first, on
+    # the same ideals as the N-CM recursion
     if lp.recursive_coatom_check()[0]:
         assert lp.ncm_check()
 
