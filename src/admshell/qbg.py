@@ -3,8 +3,8 @@
 Vertices are the group elements; each (w, alpha) with alpha positive gives an
 upward edge w -> w*s_alpha when the length goes up by one (weight 0) and a
 downward edge when it drops by <alpha^vee, 2rho> - 1 (weight alpha^vee).
-Shortest-path weights are well defined; down-up and up-down shortest paths are
-produced by local rewriting.
+Shortest-path weights are well defined; a down-up and an up-down shortest path
+are each found by one greedy walk over the shortest-path distances.
 """
 
 from collections import namedtuple
@@ -15,11 +15,15 @@ from .exact import vec_add
 Edge = namedtuple("Edge", "src dst root_idx quantum weight")
 
 
+def _first_down(steps):
+    """The downward edge of least root index, else the upward one."""
+    return min(steps, key=lambda e: (not e.quantum, e.root_idx))
+
+
 class QuantumBruhatGraph:
     def __init__(self, datum):
         self.datum = datum
         self.group = datum.weyl_group()
-        self.w0 = self.group.longest_element()
         n = len(self.group)
         zero = (0,) * datum.rank
         self.out = [[] for _ in range(n)]
@@ -38,6 +42,10 @@ class QuantumBruhatGraph:
                 self.out[i].append(e)
         for i in range(n):
             self.out[i].sort(key=lambda e: (e.quantum, e.root_idx))
+        self.into = [[] for _ in range(n)]
+        for es in self.out:
+            for e in es:
+                self.into[e.dst].append(e)
         self._dist = [None] * n
         self._wt = [None] * n
 
@@ -147,77 +155,53 @@ class QuantumBruhatGraph:
         return not any(a.quantum and not b.quantum
                        for a, b in zip(path, path[1:]))
 
-    def _some_shortest_path(self, i, j):
-        dist_i, _ = self._bfs(i)
+    def downup_path(self, u, v):
+        """A shortest path where no upward edge precedes a downward one.
+
+        A greedy walk from u: at each vertex a, take the downward edge of
+        least root index that stays on a shortest path to v, else the upward
+        one.  It rests on the fact that a shortest down-up path joins any
+        two elements.  If no downward edge out of a stays on a shortest
+        path, the shortest down-up path from a is all upward, so
+        d(a, v) = l(v) - l(a).  An upward edge adds 1 to the length and a
+        downward one takes off <alpha^vee, 2rho> - 1 >= 1, so every shortest
+        path onward is upward as well.
+        """
+        j = self._idx(v)
         path = []
-        a = i
+        a = self._idx(u)
         while a != j:
-            step = min((e for e in self.out[a]
-                        if dist_i[e.dst] == dist_i[a] + 1
-                        and dist_i[a] + 1 + self._bfs(e.dst)[0][j] == dist_i[j]),
-                       key=lambda e: (e.root_idx, e.quantum))
+            d = self._bfs(a)[0][j] - 1
+            step = _first_down([e for e in self.out[a]
+                                if self._bfs(e.dst)[0][j] == d])
             path.append(step)
             a = step.dst
+        if not self.is_downup(path):
+            raise PropertyViolation("greedy walk did not produce a down-up path")
         return path
-
-    def downup_path(self, u, v):
-        """A shortest path where no upward edge precedes a downward one."""
-        i, j = self._idx(u), self._idx(v)
-        if i == j:
-            return []
-        path = self._some_shortest_path(i, j)
-        d = len(path)
-        budget = d * self.datum.num_positive
-        steps = 0
-        while True:
-            spot = next((k for k in range(d - 1)
-                         if not path[k].quantum and path[k + 1].quantum), None)
-            if spot is None:
-                break
-            steps += 1
-            if steps > budget:
-                raise PropertyViolation("down-up rewriting exceeded its bound")
-            p, r = path[spot].src, path[spot + 1].dst
-            repl = None
-            cands = sorted(self.out[p], key=lambda e: (e.root_idx, e.quantum))
-            for e1 in cands:
-                for e2 in sorted(self.out[e1.dst],
-                                 key=lambda e: (e.root_idx, e.quantum)):
-                    if e2.dst == r and not (not e1.quantum and e2.quantum):
-                        repl = [e1, e2]
-                        break
-                if repl:
-                    break
-            if repl is None:
-                raise PropertyViolation(
-                    "no down-up replacement for a 2-step segment")
-            path[spot:spot + 2] = repl
-        if not self.is_downup(path) or len(path) != d:
-            raise PropertyViolation("rewriting did not produce a down-up path")
-        return path
-
-    def _dual_edge(self, e):
-        d = self.datum
-        w0 = self.w0
-        src = self.group.elements[e.src]
-        dst = self.group.elements[e.dst]
-        # w0 sends every positive root to a negative one: -w0(a) is positive
-        r2 = w0.perm[e.root_idx] - d.num_positive
-        i2 = self.group.index[dst * w0]
-        j2 = self.group.index[src * w0]
-        # -w0(a^vee) is the coroot of -w0(a)
-        weight = d.positive_coroots[r2] if e.quantum else (0,) * d.rank
-        return Edge(i2, j2, r2, e.quantum, weight)
 
     def updown_path(self, u, v):
-        """A shortest path where no downward edge precedes an upward one."""
-        w0 = self.w0
-        uu = (u if not isinstance(u, int) else self.group.elements[u])
-        vv = (v if not isinstance(v, int) else self.group.elements[v])
-        dual = self.downup_path(vv * w0, uu * w0)
-        path = [self._dual_edge(e) for e in reversed(dual)]
+        """A shortest path where no downward edge precedes an upward one.
+
+        The mirror image of `downup_path`: a greedy walk back from v over
+        the in-edges, taking at each vertex b the downward edge of least
+        root index into b whose source is one step closer to u, else the
+        upward one.  If no downward edge into b qualifies, the shortest
+        up-down path from u to b is all upward, so d(u, b) = l(b) - l(u) and
+        every shortest path from u to b is upward.
+        """
+        i = self._idx(u)
+        dist = self._bfs(i)[0]
+        path = []
+        b = self._idx(v)
+        while b != i:
+            step = _first_down([e for e in self.into[b]
+                                if dist[e.src] == dist[b] - 1])
+            path.append(step)
+            b = step.src
+        path.reverse()
         if not self.is_updown(path):
-            raise PropertyViolation("dual transform did not produce up-down")
+            raise PropertyViolation("greedy walk did not produce an up-down path")
         return path
 
     def to_dot(self):

@@ -458,8 +458,12 @@ def build_root_datum(spec):
                    if k not in spec]
         if missing:
             raise InputError(f"explicit root data lack {', '.join(missing)}")
+        name = spec.get("name", "custom")
+        if not isinstance(name, str):
+            raise InputError(f"explicit root data key 'name' must be a "
+                             f"string, not {name!r}")
         return RootDatum(spec["simple_roots"], spec["simple_coroots"],
-                         name=spec.get("name", "custom"))
+                         name=name)
     if not isinstance(spec, str):
         raise InputError(f"cannot build a root datum from {spec!r}")
     name = spec.strip()

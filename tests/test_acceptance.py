@@ -127,6 +127,8 @@ def test_04_coatom_orderings_and_ncm():
 
 
 QBG_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+# the path walks are cheap enough for D4 (1.5 s), the weight suite is not
+PATH_TYPES = QBG_TYPES + ["D4"]
 
 
 def test_05_qbg_suite():
@@ -172,7 +174,7 @@ def test_05_qbg_suite():
 
 def test_06_downup_updown():
     t0 = time.perf_counter()
-    for name in QBG_TYPES:
+    for name in PATH_TYPES:
         d = datum(name)
         g = d.qbg()
         W = d.weyl_group()
@@ -187,8 +189,11 @@ def test_06_downup_updown():
                     assert len(path) == dist
                     assert g.path_weight(path) == wt
                     assert pred(path)
+                    ends = [W.index[u]] + [e.dst for e in path]
+                    assert [e.src for e in path] == ends[:-1]
+                    assert ends[-1] == W.index[v]
     _report(6, f"down-up and up-down shortest paths built for all pairs in "
-               f"{', '.join(QBG_TYPES)} ({time.perf_counter() - t0:.1f}s)")
+               f"{', '.join(PATH_TYPES)} ({time.perf_counter() - t0:.1f}s)")
 
 
 @pytest.mark.parametrize("name,radius", [("A2", 8), ("B2", 8), ("A3", 6)])

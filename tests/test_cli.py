@@ -223,6 +223,13 @@ def test_datum_missing_coroots_exits_2(capsys):
     assert code == 2 and "simple_coroots" in err
 
 
+def test_datum_non_string_name_exits_2(capsys):
+    spec = '{"simple_roots": [[2]], "simple_coroots": [[1]], "name": [1]}'
+    code, out, err = run(capsys, "adm", "--datum", spec, "--mu", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'name'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("adm", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1", "--jobs", "2"),
     ("qbg", "--datum", "A2", "--check", "full"),

@@ -135,6 +135,7 @@ def test_downup_and_updown_shapes():
                     assert pred(path)
                     assert W.elements[path[0].src] == u
                     assert W.elements[path[-1].dst] == v
+                    assert all(a.dst == b.src for a, b in zip(path, path[1:]))
 
 
 def test_downup_all_quantum_path_kept():
@@ -169,6 +170,10 @@ def tampered(name, edit):
     g._dist = [None] * len(g.out)
     g._wt = [None] * len(g.out)
     edit(g)
+    g.into = [[] for _ in g.out]
+    for es in g.out:
+        for e in es:
+            g.into[e.dst].append(e)
     return g
 
 
@@ -199,3 +204,23 @@ def test_bfs_rejects_a_disconnected_graph():
 
     with pytest.raises(PropertyViolation, match="not connected"):
         tampered("A1", drop).distance_and_weight(s, s)
+
+
+def test_paths_on_a_graph_without_an_upward_edge():
+    # without the edge e -> s1 of A2, every shortest path from e to s1 has
+    # length 3 and climbs before its one quantum edge: no down-up path exists
+    W = wgroup("A2")
+    e, s1 = W.index[W.identity], W.index[W.simple(0)]
+
+    def drop(g):
+        g.out[e] = [x for x in g.out[e] if x.dst != s1]
+
+    g = tampered("A2", drop)
+    assert g.distance_and_weight(e, s1)[0] == 3
+    with pytest.raises(PropertyViolation, match="down-up"):
+        g.downup_path(e, s1)
+    path = g.updown_path(e, s1)
+    assert len(path) == 3 and g.is_updown(path)
+    assert all(x in g.out[x.src] for x in path)
+    assert path[0].src == e and path[-1].dst == s1
+    assert all(a.dst == b.src for a, b in zip(path, path[1:]))
