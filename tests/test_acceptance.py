@@ -127,7 +127,7 @@ def test_04_coatom_orderings_and_ncm():
 
 
 QBG_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
-# the path walks are cheap enough for D4 (1.5 s), the weight suite is not
+# D4 joins the path test only: its property (b) sweep would dominate tier-1
 PATH_TYPES = QBG_TYPES + ["D4"]
 
 

@@ -117,6 +117,12 @@ def test_triangle_inequality():
             assert d.in_coroot_cone(vec_sub(rhs, lhs))
 
 
+def test_bfs_tables_share_one_tuple_per_weight():
+    g = datum("B3").qbg()
+    weights = [w for u in range(len(g.group)) for w in g._bfs(u)[1] if any(w)]
+    assert len({id(w) for w in weights}) == len(set(weights))
+
+
 def test_downup_and_updown_shapes():
     for name in ["A2", "B2"]:
         d = datum(name)
@@ -169,6 +175,7 @@ def tampered(name, edit):
     g.out = [list(es) for es in g.out]
     g._dist = [None] * len(g.out)
     g._wt = [None] * len(g.out)
+    g._weights = {}
     edit(g)
     g.into = [[] for _ in g.out]
     for es in g.out:
@@ -206,21 +213,29 @@ def test_bfs_rejects_a_disconnected_graph():
         tampered("A1", drop).distance_and_weight(s, s)
 
 
-def test_paths_on_a_graph_without_an_upward_edge():
-    # without the edge e -> s1 of A2, every shortest path from e to s1 has
-    # length 3 and climbs before its one quantum edge: no down-up path exists
+@pytest.mark.parametrize("src, dst, u, v, d, broken", [
+    # without the upward edge e -> s1, every shortest path from e to s1
+    # climbs before its one quantum edge
+    ("e", "s1", "e", "s1", 3, "down-up"),
+    # without the quantum edge s1 s2 -> s1, the one shortest path from s2
+    # to s1 descends to e before it climbs
+    ("s1 s2", "s1", "s2", "s1", 2, "up-down"),
+])
+def test_paths_on_a_graph_without_one_edge(src, dst, u, v, d, broken):
     W = wgroup("A2")
-    e, s1 = W.index[W.identity], W.index[W.simple(0)]
+    word = {w.word_str(): W.index[w] for w in W}
+    src, dst, u, v = (word[x] for x in (src, dst, u, v))
 
     def drop(g):
-        g.out[e] = [x for x in g.out[e] if x.dst != s1]
+        g.out[src] = [x for x in g.out[src] if x.dst != dst]
 
     g = tampered("A2", drop)
-    assert g.distance_and_weight(e, s1)[0] == 3
-    with pytest.raises(PropertyViolation, match="down-up"):
-        g.downup_path(e, s1)
-    path = g.updown_path(e, s1)
-    assert len(path) == 3 and g.is_updown(path)
-    assert all(x in g.out[x.src] for x in path)
-    assert path[0].src == e and path[-1].dst == s1
-    assert all(a.dst == b.src for a, b in zip(path, path[1:]))
+    assert g.distance_and_weight(u, v)[0] == d
+    shapes = {"down-up": g.downup_path, "up-down": g.updown_path}
+    with pytest.raises(PropertyViolation, match=broken):
+        shapes.pop(broken)(u, v)
+    (find,) = shapes.values()
+    path = find(u, v)
+    assert len(path) == d and all(x in g.out[x.src] for x in path)
+    assert [x.src for x in path] == [u] + [x.dst for x in path[:-1]]
+    assert path[-1].dst == v
