@@ -48,8 +48,6 @@ class QuantumBruhatGraph:
                 self.into[e.dst].append(e)
         self._dist = [None] * n
         self._wt = [None] * n
-        # one tuple per distinct weight, shared by the tables of all sources
-        self._weights = {}
 
     def _idx(self, w):
         return w if isinstance(w, int) else self.group.index[w]
@@ -75,8 +73,7 @@ class QuantumBruhatGraph:
                                 wa, e.weight)
                             if dist[b] is None:
                                 dist[b] = da
-                                wt[b] = wb if wb is wa else \
-                                    self._weights.setdefault(wb, wb)
+                                wt[b] = wb
                                 new.append(b)
                             # every shortest-path DAG edge must agree on it
                             elif wb != wt[b]:

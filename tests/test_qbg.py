@@ -117,12 +117,6 @@ def test_triangle_inequality():
             assert d.in_coroot_cone(vec_sub(rhs, lhs))
 
 
-def test_bfs_tables_share_one_tuple_per_weight():
-    g = datum("B3").qbg()
-    weights = [w for u in range(len(g.group)) for w in g._bfs(u)[1] if any(w)]
-    assert len({id(w) for w in weights}) == len(set(weights))
-
-
 def test_downup_and_updown_shapes():
     for name in ["A2", "B2"]:
         d = datum(name)
@@ -175,7 +169,6 @@ def tampered(name, edit):
     g.out = [list(es) for es in g.out]
     g._dist = [None] * len(g.out)
     g._wt = [None] * len(g.out)
-    g._weights = {}
     edit(g)
     g.into = [[] for _ in g.out]
     for es in g.out:
