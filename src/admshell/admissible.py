@@ -1,14 +1,17 @@
 """Admissible sets: enumeration, quotient poset, gateway data, Coxeter subsets.
 
 The poset holds the minimal coset representatives below the extreme
-translations, together with a formal top element.  The full (unquotiented)
-admissible set is kept alongside for cross-checks that need it.
+translations, together with a formal top element.  It is found by descending
+through the full (unquotiented) admissible set, whose elements are kept in
+``full_elements``; their covers are not kept.
 """
+
+from collections import namedtuple
 
 from .errors import InputError, PropertyViolation
 from .exact import vec_add, vec_sub
-from .affine import (AffineElement, acute_presentation_K, affine_reflection,
-                     affine_word, covers_down, reflection_root)
+from .affine import (AffineElement, acute_presentation_K, affine_word,
+                     covers_down)
 from .labeling import format_label, make_classifier
 from .shellcheck import closure_bits
 
@@ -89,7 +92,6 @@ class AdmissiblePoset:
                         new.append(u)
             frontier = new
         self.full_elements = sorted(full_covers, key=lambda w: w.key())
-        self.full_covers = full_covers
 
         members = [w for w in self.full_elements if w.is_min_rep(K)]
         self.elements = members
@@ -194,12 +196,8 @@ def adm_membership(pres, mu):
     return d.in_coroot_cone(vec_sub(vec_sub(mu, pres.lam), w))
 
 
-class SigmaData:
-    __slots__ = ("w", "presentation", "sigma_w", "z_min", "sigma_w_JK", "a_min_K")
-
-    def __init__(self, **kw):
-        for k, v in kw.items():
-            setattr(self, k, v)
+SigmaData = namedtuple("SigmaData",
+                       "w presentation sigma_w z_min sigma_w_JK a_min_K")
 
 
 def _unique_min(W, elems, what):
@@ -208,6 +206,13 @@ def _unique_min(W, elems, what):
     if len(minimal) != 1:
         raise PropertyViolation(f"{what} has {len(minimal)} minimal elements")
     return minimal[0]
+
+
+def _gateways(poset, w):
+    """The a in W^{J,K} with w <= t^{a(mu)}, read off the down-sets."""
+    i = poset.index[w]
+    return [a for a, m in zip(poset.WJK, poset.maximal_ids)
+            if poset.leq_ids(i, m)]
 
 
 def compute_sigma(poset, w):
@@ -219,20 +224,19 @@ def compute_sigma(poset, w):
     gap = vec_sub(poset.mu, pres.lam)
     yinv = pres.y.inverse()
 
-    def fits(z):
-        _, w1 = qbg.distance_and_weight(pres.x, z)
+    sigma_w, reach = [], []
+    for z in W:
+        w1 = qbg.wt(pres.x, z)
+        if d.in_coroot_cone(vec_sub(gap, w1)):
+            reach.append(z)
         _, w2 = qbg.distance_and_weight(z, yinv)
-        return d.in_coroot_cone(vec_sub(gap, vec_add(w1, w2)))
-
-    sigma_w = [z for z in W if fits(z)]
-    reach = [z for z in W
-             if d.in_coroot_cone(vec_sub(gap, qbg.wt(pres.x, z)))]
+        if d.in_coroot_cone(vec_sub(gap, vec_add(w1, w2))):
+            sigma_w.append(z)
     z_min = _unique_min(W, reach, "{z : wt(x,z) <= mu - lam}")
     if z_min != _unique_min(W, sigma_w, "Sigma_w"):
         raise PropertyViolation("minimum of Sigma_w differs from z_min")
 
-    sigma_w_JK = [a for a in poset.WJK
-                  if poset.leq(w, poset.translation_of(a))]
+    sigma_w_JK = _gateways(poset, w)
     if not sigma_w_JK:
         raise PropertyViolation("poset element below no extreme translation")
 
@@ -272,10 +276,16 @@ def top_two_layer_report(poset):
     """
     classify = make_classifier(poset.datum, poset.K)
     d = poset.datum
+    W = d.weyl_group()
     qbg = d.qbg()
     height = d.pairing(poset.mu, d.two_rho)
     report = []
-    translations = {poset.translation_of(a): a for a in poset.WJ}
+    below = {}
+    for a in poset.WJ:
+        t = poset.translation_of(a)
+        below[t] = {u for u, _ in covers_down(t)}
+    gate_id = dict(zip(poset.WJK, poset.maximal_ids))
+    label = {(up, lo): ar for up, lo, ar in poset.covers if up != poset.top}
     for w in poset.elements:
         if w.length != height - 1:
             continue
@@ -295,19 +305,16 @@ def top_two_layer_report(poset):
             if d.root_support(beta) <= set(poset.J):
                 raise PropertyViolation("edge weight lies in the J-span")
         # w and t differ in length by one, so w <= t iff t covers w
-        above = [t for t in translations
-                 if any(u == w for u, _ in poset.full_covers[t])]
+        above = [t for t, us in below.items() if w in us]
         expect = {poset.translation_of(z1), poset.translation_of(z2)}
         if set(above) != expect or len(expect) != 2:
             raise PropertyViolation("covering translations are not the expected two")
-        gates = [a for a in poset.WJK if poset.leq(w, poset.translation_of(a))]
-        W = d.weyl_group()
-        a_min = _unique_min(W, gates, "gateway set")
-        t_min = poset.translation_of(a_min)
-        refl = w.inverse() * t_min
-        ar = reflection_root(d, refl)
-        if ar is None or (w * affine_reflection(d, ar)) != t_min:
-            raise PropertyViolation("minimal-gateway edge is not a reflection step")
+        a_min = _unique_min(W, _gateways(poset, w), "gateway set")
+        # w <= t_min and their lengths differ by one: the poset has the cover
+        ar = label.get((gate_id[a_min], poset.index[w]))
+        if ar is None:
+            raise PropertyViolation(f"no cover from the minimal gateway's "
+                                    f"translation down to {w.name()}")
         if classify(ar) != 2:
             raise PropertyViolation("minimal-gateway label failed its class check")
         report.append({

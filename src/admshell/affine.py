@@ -109,26 +109,6 @@ def simple_reflection(datum, ar):
     return affine_reflection(datum, ar)
 
 
-def reflection_root(datum, w):
-    """The positive affine root whose reflection is w, or None."""
-    d = datum
-    z = w.finite
-    W = d.weyl_group()
-    for r, a in enumerate(d.positive_roots):
-        if z.perm[r] >= d.num_positive and z == W.reflection(a):
-            coroot = d.coroot(a)
-            ks = {-w.translation[i] // coroot[i]
-                  for i in range(d.rank) if coroot[i] != 0}
-            if len(ks) != 1:
-                return None
-            k = ks.pop()
-            if tuple(-k * c for c in coroot) != w.translation:
-                return None
-            ar = AffineRoot(a, k)
-            return ar if d.is_positive_affine(ar) else -ar
-    return None
-
-
 def inversions(w):
     """Positive affine roots sent to negative ones; size == length."""
     d = w.datum

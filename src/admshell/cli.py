@@ -18,6 +18,7 @@ import sys
 from .errors import InputError, PropertyViolation
 from .rootdata import build_root_datum
 from .admissible import build_admissible, coxeter_subset
+from .affine import AffineElement, affine_word
 from .labeling import build_label_order, label_edges
 from .exact import solve_linear
 
@@ -188,43 +189,33 @@ def cmd_cox(args):
     datum, poset = _build(args)
     sigma = _parse_sigma(datum, args.sigma)
     sub = coxeter_subset(poset, sigma)
+    names = {i: _cox_name(w)
+             for i, w in zip(sub["element_ids"], sub["elements"])}
     if args.out == "dot":
         lines = ["digraph cox {", '  rankdir="BT";']
-        for w in sub["elements"]:
-            lines.append(f'  "{_cox_name(w)}";')
+        for i in sub["element_ids"]:
+            lines.append(f'  "{names[i]}";')
         for upper, lower in sub["covers"]:
-            lines.append(f'  "{_cox_name(poset.elements[lower])}" -> '
-                         f'"{_cox_name(poset.elements[upper])}";')
+            lines.append(f'  "{names[lower]}" -> "{names[upper]}";')
         lines.append("}")
         _emit(args, "\n".join(lines) + "\n")
     else:
-        data = {"elements": [_cox_name(w) for w in sub["elements"]],
-                "covers": [[_cox_name(poset.elements[u]),
-                            _cox_name(poset.elements[l])]
-                           for u, l in sub["covers"]]}
+        data = {"elements": [names[i] for i in sub["element_ids"]],
+                "covers": [[names[u], names[l]] for u, l in sub["covers"]]}
         _emit(args, json.dumps(data, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def _cox_name(w):
-    from .affine import affine_word
+    # simple finite roots print as s1..sn, the extra node(s) as s0 (s0.k
+    # for products): the affine-root token with its "a" turned into "s"
+    d = w.datum
     tau, letters = affine_word(w)
-    word = " ".join(f"s{i}" for i in _letters_display(w.datum, letters))
-    if tau.length == 0 and tau == type(tau).identity(w.datum):
+    simples = d.simple_affine_roots()
+    word = " ".join("s" + d.affine_token(simples[i])[1:] for i in letters)
+    if tau == AffineElement.identity(d):
         return word or "e"
     return (tau.name() + " " + word).strip()
-
-
-def _letters_display(datum, letters):
-    # simple finite roots print as 1..n, the extra node(s) as 0 (0.k for products)
-    out = []
-    for i in letters:
-        if i < datum.nsimple:
-            out.append(str(i + 1))
-        else:
-            c = i - datum.nsimple
-            out.append("0" if len(datum.components) == 1 else f"0.{c + 1}")
-    return out
 
 
 def cmd_shell_order(args):

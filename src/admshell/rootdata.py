@@ -358,14 +358,7 @@ class RootDatum:
     # -- rendering ----------------------------------------------------------
 
     def format_root(self, vec):
-        coords = self.simple_coords(vec)
-        parts = []
-        for i, c in enumerate(coords):
-            if c == 0:
-                continue
-            mag = f"a{i + 1}" if abs(c) == 1 else f"{abs(c)}a{i + 1}"
-            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
-        return "".join(parts) if parts else "0"
+        return _format_coords(self.simple_coords(vec), "")
 
     def format_affine(self, ar):
         return f"({self.format_root(ar.root)},{ar.level})"
@@ -374,13 +367,7 @@ class RootDatum:
         coords = self.coroot_coords(vec)
         if coords is None:
             return "(" + ",".join(str(c) for c in vec) + ")"
-        parts = []
-        for i, c in enumerate(coords):
-            if c == 0:
-                continue
-            mag = f"a{i + 1}^" if abs(c) == 1 else f"{abs(c)}a{i + 1}^"
-            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
-        return "".join(parts) if parts else "0"
+        return _format_coords(coords, "^")
 
     def affine_token(self, ar):
         """CLI token of a simple affine root: a1..an, a0 (a0.c for products)."""
@@ -418,6 +405,17 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.name!r}, rank={self.rank})"
+
+
+def _format_coords(coords, mark):
+    """Coordinates in the simple (co)roots as text: a1-2a2, or a1^ with mark "^"."""
+    parts = []
+    for i, c in enumerate(coords):
+        if c == 0:
+            continue
+        mag = ("" if abs(c) == 1 else str(abs(c))) + f"a{i + 1}{mark}"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
+    return "".join(parts) if parts else "0"
 
 
 def _semisimple(series, n, adjoint=False):

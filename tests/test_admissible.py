@@ -4,10 +4,13 @@ from admshell import (AffineElement, InputError, PropertyViolation,
                       adm_membership, build_admissible, compute_sigma,
                       coxeter_subset, length_zero_rep, top_two_layer_report)
 from admshell.admissible import canonical_K, is_spherical
-from admshell.affine import (acute_presentations, bruhat_leq,
-                             simple_reflection)
+from admshell.affine import (acute_presentations, affine_reflection,
+                             bruhat_leq, simple_reflection)
+from admshell.cli import _parse_mu
 from admshell.rootdata import AffineRoot
-from conftest import affine_ball, datum, dominant_mus, pipeline
+from conftest import (affine_ball, datum, dominant_mus, matrix_entries,
+                      pipeline)
+from test_affine import reference_reflection_root
 
 
 def neg(v):
@@ -186,6 +189,30 @@ def test_top_two_covering_translations_match_bruhat_leq(name, basis, mu, K):
         w = by_name[row["element"]]
         assert row["covering_translations"] == sorted(
             t.name() for t in translations if bruhat_leq(w, t))
+
+
+def test_gateway_labels_match_the_reference_reflection_root():
+    # the report reads each label off the poset's cover t_min -> w; the
+    # reflection w^-1 t_min, decoded by the reference formula, is the oracle
+    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()]
+    for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
+                               ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
+        d = datum(name)
+        posets.append(build_admissible(d, _parse_mu(d, mu, basis),
+                                       K.split(",")))
+    rows = 0
+    for poset in posets:
+        d = poset.datum
+        by_name = {w.name(): w for w in poset.elements}
+        by_word = {a.word_str(): a for a in poset.WJK}
+        for row in top_two_layer_report(poset):
+            w = by_name[row["element"]]
+            t_min = poset.translation_of(by_word[row["gateway"]])
+            ar = reference_reflection_root(d, w.inverse() * t_min)
+            assert ar is not None and w * affine_reflection(d, ar) == t_min
+            assert row["gateway_label"] == d.format_affine(ar)
+            rows += 1
+    assert len(posets) == 398 and rows == 1024
 
 
 def test_coxeter_subset_membership_oracle():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -93,6 +94,23 @@ def test_cox_a4(capsys):
     assert len(data["elements"]) == 11
 
 
+# sha256 of the cox output for a product datum: only products print their
+# extra nodes as s0.1 and s0.2
+COX_A1XA1_SHA256 = {
+    "json": "8a7296c41fd18c1d1d1b5f245e30a6c6abd3dc43e836e4f2ddd4f1b5e6400829",
+    "dot": "026d20b8a34c8ef2164bac240d9fc3bc7fdf478309ad1dcd32a41dda7b6c86ed",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_cox_product_datum_bytes(capsys, fmt):
+    code, out, _ = run(capsys, "cox", "--datum", "A1xA1", "--mu", "1,1",
+                       "--mu-basis", "coroot", "--out", fmt)
+    assert code == 0
+    assert '"s0.1 s0.2"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == COX_A1XA1_SHA256[fmt]
+
+
 def test_shell_order(capsys):
     code, out, _ = run(capsys, "shell-order", "--datum", "GL3",
                        "--mu", "1,0,0", "--K", "a1")
@@ -144,6 +162,27 @@ def test_verify_check_full(capsys):
     data = json.loads(out)
     assert data["label_order_violations"] == []
     assert len(data["top_two"]) == 2
+
+
+def test_verify_check_full_missing_gateway_cover_exits_1(capsys, monkeypatch):
+    # the labeled poset is built from intact covers; the full check then
+    # finds the cover t[0,1,0] -> t[0,1,0] s2 gone from the poset
+    import admshell.cli as cli
+    original = cli.label_edges
+
+    def drop_gateway_cover(poset, order):
+        lp = original(poset, order)
+        names = poset.element_names()
+        poset.covers = [c for c in poset.covers
+                        if (names[c[0]], names[c[1]])
+                        != ("t[0,1,0]", "t[0,1,0] s2")]
+        return lp
+
+    monkeypatch.setattr(cli, "label_edges", drop_gateway_cover)
+    code, out, err = run(capsys, "verify", "--datum", "GL3", "--mu", "1,0,0",
+                         "--K", "a1", "--check", "full", "--out", "json")
+    assert code == 1 and out == ""
+    assert err.startswith("property violation:") and "t[0,1,0] s2" in err
 
 
 def test_verify_check_full_runs_the_convexity_pass_once(capsys, monkeypatch):

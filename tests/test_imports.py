@@ -1,0 +1,48 @@
+"""No unused imports in the library, checked on its syntax trees.
+
+Every name that an ``admshell`` module binds by ``import`` must be read
+somewhere in that module or be listed in its ``__all__`` (the package
+re-exports its API that way).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "admshell"
+
+
+def unused_imports(source):
+    """Names bound by an import statement of ``source`` and never used."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("from .affine import affine_word, reflection_root\n"
+              "import json, sys as system\n"
+              "__all__ = ['system']\n"
+              "print(affine_word)\n")
+    assert unused_imports(source) == [(1, "reflection_root"), (2, "json")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
