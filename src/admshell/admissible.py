@@ -145,9 +145,6 @@ class AdmissiblePoset:
     def leq_ids(self, i, j):
         return bool(self._down[j] >> i & 1)
 
-    def leq(self, w1, w2):
-        return self.leq_ids(self.index[w1], self.index[w2])
-
     def tau(self):
         return self.elements[self.tau_id]
 
