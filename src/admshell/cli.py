@@ -224,68 +224,89 @@ def cmd_shell_order(args):
     return 0
 
 
-def make_parser():
-    p = argparse.ArgumentParser(
-        prog="admshell",
-        description="admissible sets, quantum Bruhat graphs, and shellability "
-                    "verification")
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp, outs=None, mu=True):
+    sp.add_argument("--datum", required=True,
+                    help="preset name (A2, GL3, B2-adjoint, A1xA1) or JSON")
+    if mu:
+        sp.add_argument("--mu", required=True,
+                        help="dominant coweight, comma separated")
+        sp.add_argument("--mu-basis", default="ambient",
+                        choices=["ambient", "coroot", "fw"])
+        sp.add_argument("--K", default="",
+                        help="comma separated simple affine roots, "
+                             "e.g. a1,a0")
+    if outs:
+        sp.add_argument("--out", default=outs[0], choices=outs)
+    sp.add_argument("--out-file", default="-")
 
-    def common(sp, outs=None, mu=True):
-        sp.add_argument("--datum", required=True,
-                        help="preset name (A2, GL3, B2-adjoint, A1xA1) or JSON")
-        if mu:
-            sp.add_argument("--mu", required=True,
-                            help="dominant coweight, comma separated")
-            sp.add_argument("--mu-basis", default="ambient",
-                            choices=["ambient", "coroot", "fw"])
-            sp.add_argument("--K", default="",
-                            help="comma separated simple affine roots, "
-                                 "e.g. a1,a0")
-        if outs:
-            sp.add_argument("--out", default=outs[0], choices=outs)
-        sp.add_argument("--out-file", default="-")
 
-    sp = sub.add_parser("adm", help="build and print the labeled poset")
-    common(sp, ["text", "json", "dot"])
-    sp.set_defaults(fn=cmd_adm)
+def _adm_args(sp):
+    _common(sp, ["text", "json", "dot"])
 
-    sp = sub.add_parser("verify", help="run the full verification pipeline")
-    common(sp, ["json"])
+
+def _verify_args(sp):
+    _common(sp, ["json"])
     sp.add_argument("--check", default="fast", choices=["fast", "full"])
     sp.add_argument("--ideal", default="",
                     help="restrict to the order ideal of these maximal "
                          "elements, words joined by '/'")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("qbg", help="quantum Bruhat graph as dot; --wt, "
-                        "--downup and --updown print JSON")
-    common(sp, mu=False)
+
+def _qbg_args(sp):
+    _common(sp, mu=False)
     # one query, or the graph: --out is the graph's only output format
     query = sp.add_mutually_exclusive_group()
     query.add_argument("--out", choices=["dot"])
     query.add_argument("--wt", nargs=2, metavar=("U", "V"))
     query.add_argument("--downup", nargs=2, metavar=("U", "V"))
     query.add_argument("--updown", nargs=2, metavar=("U", "V"))
-    sp.set_defaults(fn=cmd_qbg)
 
-    sp = sub.add_parser("cox", help="the Coxeter-element sub-poset")
-    common(sp, ["json", "dot"])
+
+def _cox_args(sp):
+    _common(sp, ["json", "dot"])
     sp.add_argument("--sigma", default="",
                     help="permutation of the simple affine roots, "
                          "comma separated images")
-    sp.set_defaults(fn=cmd_cox)
 
-    sp = sub.add_parser("shell-order",
-                        help="component order of the maximal elements")
-    common(sp, ["text"])
-    sp.set_defaults(fn=cmd_shell_order)
+
+def _shell_order_args(sp):
+    _common(sp, ["text"])
+
+
+# name -> (help, handler, function adding the subcommand's arguments)
+SUBCOMMANDS = {
+    "adm": ("build and print the labeled poset", cmd_adm, _adm_args),
+    "verify": ("run the full verification pipeline", cmd_verify,
+               _verify_args),
+    "qbg": ("quantum Bruhat graph as dot; --wt, --downup and --updown "
+            "print JSON", cmd_qbg, _qbg_args),
+    "cox": ("the Coxeter-element sub-poset", cmd_cox, _cox_args),
+    "shell-order": ("component order of the maximal elements",
+                    cmd_shell_order, _shell_order_args),
+}
+
+
+def make_parser(command=None):
+    """The argument parser.  Every subcommand is registered, so usage text
+    and help list them all; when ``command`` names one, only its arguments
+    are added, since argparse never looks at the others."""
+    p = argparse.ArgumentParser(
+        prog="admshell",
+        description="admissible sets, quantum Bruhat graphs, and shellability "
+                    "verification")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, fn, add_args) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if command not in SUBCOMMANDS or command == name:
+            add_args(sp)
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.datum.strip().startswith("{"):
             try:

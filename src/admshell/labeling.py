@@ -14,15 +14,20 @@ constructed order is built in three steps:
    an index into ``datum.roots`` (positives first, then their negatives), so
    negation is ``i +- num_positive`` and positivity is
    ``level >= (i >= num_positive)``; a K-reflection acts through its
-   permutation of the roots and one pairing row.  One kernel,
-   ``_pair_codes``, gives the pair combinations for the closure and for the
-   convexity check of ``LabelOrder.violations``.  For roots with independent
-   finite parts it reads the datum's table ``RootDatum.root_pair_table``,
-   keyed by root indices: ``s*r1 + t*r2 = gamma`` as ``(g, sn, tn, den)``
-   with ``g`` the index of gamma, ``s = sn/den`` and ``t = tn/den``, so the
-   level ``s*l1 + t*l2`` is one integer division, and no ``Fraction`` is
-   built.  Codes become ``AffineRoot`` objects only in the returned set, the
-   capped list and the violation messages;
+   permutation of the roots and one pairing row.  The earlier roots are
+   grouped by root index, and one kernel, ``_group_codes``, pairs a root with
+   a whole group, for the closure and for the convexity check of
+   ``LabelOrder.violations``.  For a group independent of the root it reads
+   the datum's table ``RootDatum.root_pair_table`` once, keyed by root
+   indices: ``s*r1 + t*r2 = gamma`` as ``(g, sn, tn, den)`` with ``g`` the
+   index of gamma, ``s = sn/den`` and ``t = tn/den``, so the level
+   ``s*l1 + t*l2`` is one integer division per level of the group, no
+   ``Fraction`` is built, and a group with an empty row costs one lookup.
+   The closure pairs a group of the same or the opposite root through its
+   extreme levels only, since the combinations of one pair are all the
+   levels between the two, or every level above them.  Codes become
+   ``AffineRoot`` objects only in the returned set, the capped list and the
+   violation messages;
 2. sort it by a lexicographic sequence of linear-functional ratios.  Ratios of
    linear forms turn positive combinations into convex combinations of key
    vectors, so any such sort respects betweenness; the leading functional is
@@ -97,36 +102,46 @@ def make_classifier(datum, K, phi_K=None):
     return classify
 
 
-def _pair_codes(datum, c1, c2, cap):
-    """All c = s*a1 + t*a2 (s,t > 0 rational) in the positive affine roots.
+def _group_codes(datum, j, levels, c, cap):
+    """Pair combinations of every code (j, ly), ly in ``levels``, with c.
 
     Works on codes: (i, level) stands for the affine root
     (datum.roots[i], level).  Positives come first in ``roots``, so the
     negative of root i is i +- num_positive and a code is positive iff
-    level >= (i >= num_positive).  c1 and c2 must be positive.  Returns
-    (combos, overflow): combos with level <= cap, plus a list of the
-    capped-out ones.
+    level >= (i >= num_positive).  c and every (j, ly) must be positive.
+    Returns triples (k, g, m): (g, m) is a positive affine root
+    s*(j, levels[k]) + t*c with s, t > 0 rational.  Levels past ``cap``
+    are included for the caller to log; of an opposite pair, whose
+    combinations reach every level, only (j, cap + 1) is.  For one k the
+    triples come in the order of the pair: ascending levels for one root,
+    the levels of j before those of c for opposite roots, table rows for
+    independent ones.
     """
-    i1, l1 = c1
-    i2, l2 = c2
+    i, l = c
     npos = datum.num_positive
+    out = []
     # a level above that of a positive code keeps the root positive
-    if i1 == i2:
-        lo, hi = (l1, l2) if l1 <= l2 else (l2, l1)
-        return ([(i1, m) for m in range(lo + 1, min(hi, cap + 1))],
-                [(i1, m) for m in range(max(lo, cap) + 1, hi)])
-    if i1 - i2 in (npos, -npos):
-        # combos past the cap exist at every level; record one witness
-        return ([(i1, m) for m in range(l1 + 1, cap + 1)]
-                + [(i2, m) for m in range(l2 + 1, cap + 1)], [(i1, cap + 1)])
+    if i == j:
+        for k, ly in enumerate(levels):
+            lo, hi = (ly, l) if ly <= l else (l, ly)
+            out += [(k, i, m) for m in range(lo + 1, hi)]
+        return out
+    if i - j in (npos, -npos):
+        above_c = range(l + 1, cap + 1)
+        for k, ly in enumerate(levels):
+            out += [(k, j, m) for m in range(ly + 1, cap + 1)]
+            out += [(k, i, m) for m in above_c]
+            out.append((k, j, cap + 1))
+        return out
     # distinct non-opposite roots are independent: the finite parts fix
-    # (s, t), which then fixes the level
-    combos, overflow = [], []
-    for g, sn, tn, den in datum.root_pair_table(i1, i2):
-        m, rem = divmod(sn * l1 + tn * l2, den)
-        if rem == 0 and m >= (g >= npos):
-            (combos if m <= cap else overflow).append((g, m))
-    return combos, overflow
+    # (s, t), which then fixes the level; one table row serves the group
+    for g, sn, tn, den in datum.root_pair_table(j, i):
+        least, tl = g >= npos, tn * l
+        for k, ly in enumerate(levels):
+            m, rem = divmod(sn * ly + tl, den)
+            if rem == 0 and m >= least:
+                out.append((k, g, m))
+    return out
 
 
 def _encode(datum, ar):
@@ -141,11 +156,12 @@ def relevant_closure(datum, K, seeds, phi_K):
     """Close the seed labels under K-reflections and pair combinations.
 
     A worklist: each root, when its turn comes, gets the K-reflections and is
-    paired with every root taken before it.  The rules are monotone, so the
-    closure does not depend on the visiting order.  The base has levels at
-    most cap, so every root past the cap is logged, once, in ``capped``.
-    The worklist runs on codes (see ``_pair_codes``); a K-reflection
-    t^lam * z sends (i, level) to (perm[i], level - <lam, roots[perm[i]]>).
+    paired with every root taken before it, one root index at a time (see
+    ``_group_codes``).  The rules are monotone, so the closure does not
+    depend on the visiting order.  The base has levels at most cap, so every
+    root past the cap is logged, once, in ``capped``, which is sorted by
+    code.  A K-reflection t^lam * z sends (i, level) to
+    (perm[i], level - <lam, roots[perm[i]]>).
     """
     npos = datum.num_positive
     refls = []
@@ -156,7 +172,8 @@ def relevant_closure(datum, K, seeds, phi_K):
     cap = 2 * max([1] + [ar.level for ar in base]) + 1
     queue = [_encode(datum, ar) for ar in base]
     S = set(queue)
-    capped = {}
+    capped = set()
+    groups = {}         # root index -> levels of the roots taken so far
 
     def visit(c):
         if c in S:
@@ -165,9 +182,9 @@ def relevant_closure(datum, K, seeds, phi_K):
             S.add(c)
             queue.append(c)
         else:
-            capped[c] = None
+            capped.add(c)
 
-    for k, x in enumerate(queue):
+    for x in queue:
         i, level = x
         for perm, row in refls:
             j = perm[i]
@@ -175,12 +192,19 @@ def relevant_closure(datum, K, seeds, phi_K):
             if m < (j >= npos):
                 j, m = (j - npos if j >= npos else j + npos), -m
             visit((j, m))
-        for y in queue[:k]:
-            combos, over = _pair_codes(datum, y, x, cap)
-            for c in combos + over:
-                visit(c)
+        for j, levels in groups.items():
+            # the levels strictly between two of one root lie between the
+            # group's extremes and x; an opposite root reaches every level
+            # above the group's least one
+            if j == i:
+                levels = (min(levels), max(levels))
+            elif j - i in (npos, -npos):
+                levels = (min(levels),)
+            for _, g, m in _group_codes(datum, j, levels, x, cap):
+                visit((g, m))
+        groups.setdefault(i, []).append(level)
     return ({_decode(datum, c) for c in S}, cap,
-            [_decode(datum, c) for c in capped])
+            [_decode(datum, c) for c in sorted(capped)])
 
 
 class LabelOrder:
@@ -228,21 +252,27 @@ class LabelOrder:
     def violations(self):
         """All violated order invariants, as human-readable strings."""
         d = self.datum
-        out = []
         codes = [_encode(d, ar) for ar in self.roots]
         pos = {c: p for p, c in enumerate(codes)}
         cls = self.root_class
         cap = max([0] + [level for _, level in codes])
-        for a, x in enumerate(codes):
-            for b, y in enumerate(codes[a + 1:], a + 1):
-                combos, _ = _pair_codes(d, x, y, cap)
-                for c in combos:
-                    p = pos.get(c)
-                    if p is not None and not a < p < b:
-                        out.append(
-                            f"convexity: {d.format_affine(_decode(d, c))} "
-                            f"not between {d.format_affine(self.roots[a])} "
-                            f"and {d.format_affine(self.roots[b])}")
+        # each root against the roots before it, one root index at a time;
+        # the (a, b, code) found are reported in the order of the pairs
+        bad = []
+        groups = {}     # root index -> (levels, positions) of the roots so far
+        for b, y in enumerate(codes):
+            for j, (levels, at) in groups.items():
+                for k, g, m in _group_codes(d, j, levels, y, cap):
+                    p = pos.get((g, m))
+                    if p is not None and not at[k] < p < b:
+                        bad.append((at[k], b, (g, m)))
+            levels, at = groups.setdefault(y[0], ([], []))
+            levels.append(y[1])
+            at.append(b)
+        bad.sort(key=lambda t: t[:2])
+        out = [f"convexity: {d.format_affine(_decode(d, c))} "
+               f"not between {d.format_affine(self.roots[a])} "
+               f"and {d.format_affine(self.roots[b])}" for a, b, c in bad]
         seen2 = False
         for ar in self.roots:
             if cls[ar] == 2:

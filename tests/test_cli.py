@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from admshell import cli
 from admshell.cli import main
 
 
@@ -292,6 +293,76 @@ def test_jobs_and_check_usage_errors(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+COMMON = ["-h", "--help", "--datum", "--mu", "--mu-basis", "--K", "--out",
+          "--out-file"]
+# the option strings each subcommand's --help listed while main still built
+# every subcommand's arguments on each call
+HELP_OPTIONS = {
+    "adm": COMMON,
+    "verify": COMMON + ["--check", "--ideal"],
+    "qbg": ["-h", "--help", "--datum", "--out-file", "--out", "--wt",
+            "--downup", "--updown"],
+    "cox": COMMON + ["--sigma"],
+    "shell-order": COMMON,
+}
+
+
+def help_options(text):
+    """Option strings of the options section of an argparse help text."""
+    section = text.split("\noptions:\n", 1)[1]
+    return [tok.split()[0]
+            for line in section.splitlines() if line.startswith("  -")
+            for tok in line.strip().split("  ")[0].split(", ")]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_subcommand_help_lists_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: admshell {command} [-h] --datum DATUM")
+    assert help_options(out) == HELP_OPTIONS[command]
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: admshell [-h] "
+                          "{adm,verify,qbg,cox,shell-order} ...")
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == list(cli.SUBCOMMANDS) == list(HELP_OPTIONS)
+    assert help_options(out) == ["-h", "--help"]
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--datum", "A2"],
+                                  ["--datum", "A2"], []])
+def test_unknown_or_missing_command_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: admshell [-h] "
+                          "{adm,verify,qbg,cox,shell-order} ...\n")
+    if argv and argv[0] == "bogus":
+        assert "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [*GL3_VERIFY, "--check", "full"],
+    ["adm", "--datum", "GL3", "--mu", "1,0,0", "--out", "dot"],
+    ["qbg", "--datum", "A2", "--downup", "s1", "e"],
+    ["cox", "--datum", "A2", "--mu", "1,1", "--sigma", "0,2,1"],
+    ["shell-order", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1"],
+])
+def test_parser_for_one_subcommand_parses_as_the_full_one(argv):
+    args = cli.make_parser(argv[0]).parse_args(argv)
+    assert vars(args) == vars(cli.make_parser().parse_args(argv))
 
 
 def test_verify_ideal_with_check_full_exits_2(capsys):

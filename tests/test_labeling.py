@@ -16,7 +16,7 @@ from admshell import (InputError, LabelOrder, PropertyViolation,
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
 from admshell.exact import dot, solve_linear
-from admshell.labeling import (_order_keys, _pair_codes, _separating_vector,
+from admshell.labeling import (_group_codes, _order_keys, _separating_vector,
                                defect, finite_subsystem_indices,
                                format_label, relevant_closure)
 from admshell.affine import (AffineElement, affine_reflection,
@@ -340,19 +340,38 @@ def reference_pair_combinations(datum, a1, a2, cap):
 @pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "GL3", "A1xA1",
                                   "B3", "C3", "D4"])
 def test_pair_table_matches_fraction_oracle(name):
-    # the code kernel, decoded, against the Fraction solve
+    # the group kernel on one-level groups, decoded and split at the cap,
+    # against the Fraction solve
     d = build_root_datum(name)
     roots = list(d.positive_roots) + [neg(r) for r in d.positive_roots]
     affine = [AffineRoot(r, m) for r in roots for m in range(4)]
     affine = [ar for ar in affine if d.is_positive_affine(ar)]
     for a1, a2 in itertools.product(affine, repeat=2):
-        c1 = (d.root_index[a1.root], a1.level)
         c2 = (d.root_index[a2.root], a2.level)
         for cap in (1, 3, 7):
-            got = tuple([AffineRoot(d.roots[i], m) for i, m in codes]
-                        for codes in _pair_codes(d, c1, c2, cap))
+            codes = _group_codes(d, d.root_index[a1.root], [a1.level], c2,
+                                 cap)
+            assert all(k == 0 for k, _, _ in codes)
+            got = tuple([AffineRoot(d.roots[g], m) for _, g, m in codes
+                         if (m <= cap) == below]
+                        for below in (True, False))
             assert got == reference_pair_combinations(d, a1, a2, cap), \
                 (a1, a2, cap)
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "A1xA1", "B3"])
+def test_group_kernel_is_the_pair_kernel_per_level(name):
+    # a group of several levels gives, level by level, what each level gives
+    # alone, in the same order
+    d = build_root_datum(name)
+    codes = [(i, m) for i in range(len(d.roots)) for m in range(4)
+             if m >= (i >= d.num_positive)]
+    for (j, _), c in itertools.product(codes, repeat=2):
+        levels = [m for i, m in codes if i == j][::-1]
+        got = _group_codes(d, j, levels, c, 5)
+        for k, ly in enumerate(levels):
+            assert [t[1:] for t in got if t[0] == k] == \
+                [t[1:] for t in _group_codes(d, j, [ly], c, 5)]
 
 
 # The label order's pair arithmetic on AffineRoot objects, as it was before
@@ -434,14 +453,35 @@ def reference_convexity(order):
 def assert_closure_matches_reference(poset):
     d, K = poset.datum, poset.K
     seeds = {ar for up, _, ar in poset.covers if up != poset.top}
-    phi_K = subsystem_positive(d, K)
-    assert relevant_closure(d, K, seeds, phi_K) == \
-        reference_relevant_closure(d, K, seeds, phi_K)
+    assert_closure_matches(d, K, seeds, subsystem_positive(d, K))
+
+
+def assert_closure_matches(d, K, seeds, phi_K):
+    S, cap, capped = relevant_closure(d, K, seeds, phi_K)
+    ref_S, ref_cap, ref_capped = reference_relevant_closure(d, K, seeds, phi_K)
+    assert (S, cap) == (ref_S, ref_cap)
+    # capped comes sorted by code; the reference logs in its visit order
+    assert len(capped) == len(set(capped)) == len(ref_capped)
+    assert capped == sorted(ref_capped, key=lambda ar: (d.root_index[ar.root],
+                                                        ar.level))
 
 
 def test_closure_matches_reference_on_theorem_matrix():
     for name, mu, K in matrix_entries():
         assert_closure_matches_reference(pipeline(name, mu, K)[0])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_closure_matches_reference_on_one_sided_seeds(name):
+    # seeds on positive finite roots only: their combinations stay positive,
+    # so no opposite pair fills in the levels between two of one root, and
+    # the same-root groups have to
+    d = build_root_datum(name)
+    rng = random.Random(name)
+    for _ in range(20):
+        seeds = {AffineRoot(rng.choice(d.positive_roots), rng.randrange(6))
+                 for _ in range(rng.randint(2, 4))}
+        assert_closure_matches(d, (), seeds, frozenset())
 
 
 def test_violations_match_reference_on_scrambled_orders(gl3_case):
@@ -467,6 +507,64 @@ def test_violations_match_reference_on_scrambled_orders(gl3_case):
                                 if not m.startswith("convexity")]
         fired += bool(convex)
     assert fired >= len(orders) // 2
+
+
+def _add(*roots):
+    return tuple(map(sum, zip(*roots)))
+
+
+def _a1_orders():
+    d = build_root_datum("A1")
+    a, = d.simple_roots
+    same = [AffineRoot(a, m) for m in (0, 3, 2, 1)]
+    opposite = ([AffineRoot(neg(a), m) for m in (1, 2)]
+                + [AffineRoot(a, m) for m in (0, 1, 2)])
+    return d, same, opposite
+
+
+def test_violations_through_same_root_pairs_only():
+    # (a,0) < (a,3) < (a,2) < (a,1): the levels between two levels of one
+    # root fall outside them, and no other pair kind exists
+    d, same, _ = _a1_orders()
+    order = LabelOrder(d, (), same)
+    got = order.violations()
+    assert got == reference_convexity(order)
+    assert got == ["convexity: (a1,1) not between (a1,0) and (a1,3)",
+                   "convexity: (a1,2) not between (a1,0) and (a1,3)",
+                   "convexity: (a1,1) not between (a1,0) and (a1,2)"]
+
+
+def test_violations_through_opposite_root_pairs_only():
+    # the levels of one root are in order, so only the opposite pairs,
+    # whose combinations reach every level above theirs, fire; their
+    # messages come in pair order, not in the order the groups meet them
+    d, _, opposite = _a1_orders()
+    order = LabelOrder(d, (), opposite)
+    got = order.violations()
+    assert got == reference_convexity(order)
+    assert len(got) == 6
+    assert got[:3] == ["convexity: (a1,1) not between (-a1,1) and (a1,0)",
+                       "convexity: (a1,2) not between (-a1,1) and (a1,0)",
+                       "convexity: (a1,2) not between (-a1,1) and (a1,1)"]
+
+
+def test_violations_through_independent_pairs_only():
+    # A2: a1 and a2 have the one table row a1 + a2 = a1 + a2; every pair
+    # with a1 + a2 has an empty row, and no root comes twice at two levels
+    # with a level between them
+    d = build_root_datum("A2")
+    a1, a2 = d.simple_roots
+    a12 = _add(a1, a2)
+    assert d.root_pair_table(d.root_index[a1], d.root_index[a2])
+    assert not d.root_pair_table(d.root_index[a12], d.root_index[a1])
+    assert not d.root_pair_table(d.root_index[a12], d.root_index[a2])
+    seq = [AffineRoot(a12, 0), AffineRoot(a1, 0), AffineRoot(a2, 0),
+           AffineRoot(a2, 1), AffineRoot(a12, 1)]
+    order = LabelOrder(d, (), seq)
+    got = order.violations()
+    assert got == reference_convexity(order)
+    assert got == ["convexity: (a1+a2,0) not between (a1,0) and (a2,0)",
+                   "convexity: (a1+a2,1) not between (a1,0) and (a2,1)"]
 
 
 def test_datum_is_freed_after_cone_queries():
