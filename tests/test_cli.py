@@ -297,8 +297,8 @@ def test_jobs_and_check_usage_errors(capsys, argv):
 
 COMMON = ["-h", "--help", "--datum", "--mu", "--mu-basis", "--K", "--out",
           "--out-file"]
-# the option strings each subcommand's --help listed while main still built
-# every subcommand's arguments on each call
+# the option strings of each subcommand's --help: building only the named
+# subcommand's arguments must leave them as they are
 HELP_OPTIONS = {
     "adm": COMMON,
     "verify": COMMON + ["--check", "--ideal"],

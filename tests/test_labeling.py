@@ -509,24 +509,12 @@ def test_violations_match_reference_on_scrambled_orders(gl3_case):
     assert fired >= len(orders) // 2
 
 
-def _add(*roots):
-    return tuple(map(sum, zip(*roots)))
-
-
-def _a1_orders():
-    d = build_root_datum("A1")
-    a, = d.simple_roots
-    same = [AffineRoot(a, m) for m in (0, 3, 2, 1)]
-    opposite = ([AffineRoot(neg(a), m) for m in (1, 2)]
-                + [AffineRoot(a, m) for m in (0, 1, 2)])
-    return d, same, opposite
-
-
 def test_violations_through_same_root_pairs_only():
     # (a,0) < (a,3) < (a,2) < (a,1): the levels between two levels of one
     # root fall outside them, and no other pair kind exists
-    d, same, _ = _a1_orders()
-    order = LabelOrder(d, (), same)
+    d = build_root_datum("A1")
+    a, = d.simple_roots
+    order = LabelOrder(d, (), [AffineRoot(a, m) for m in (0, 3, 2, 1)])
     got = order.violations()
     assert got == reference_convexity(order)
     assert got == ["convexity: (a1,1) not between (a1,0) and (a1,3)",
@@ -538,8 +526,10 @@ def test_violations_through_opposite_root_pairs_only():
     # the levels of one root are in order, so only the opposite pairs,
     # whose combinations reach every level above theirs, fire; their
     # messages come in pair order, not in the order the groups meet them
-    d, _, opposite = _a1_orders()
-    order = LabelOrder(d, (), opposite)
+    d = build_root_datum("A1")
+    a, = d.simple_roots
+    order = LabelOrder(d, (), [AffineRoot(neg(a), m) for m in (1, 2)]
+                       + [AffineRoot(a, m) for m in (0, 1, 2)])
     got = order.violations()
     assert got == reference_convexity(order)
     assert len(got) == 6
@@ -554,7 +544,7 @@ def test_violations_through_independent_pairs_only():
     # with a level between them
     d = build_root_datum("A2")
     a1, a2 = d.simple_roots
-    a12 = _add(a1, a2)
+    a12 = tuple(x + y for x, y in zip(a1, a2))
     assert d.root_pair_table(d.root_index[a1], d.root_index[a2])
     assert not d.root_pair_table(d.root_index[a12], d.root_index[a1])
     assert not d.root_pair_table(d.root_index[a12], d.root_index[a2])
