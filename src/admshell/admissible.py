@@ -72,7 +72,6 @@ class AdmissiblePoset:
         self.WJK = [a for a in self.WJ
                     if all(datum.pairing(a.apply_coweight(mu), ar.root) <= 0
                            for ar in K)]
-        self.WJK.sort(key=lambda a: (a.length, a.word))
 
         # downward closure of the extreme translations = the full admissible set
         maxima_full = [AffineElement.translation_of(datum, a.apply_coweight(mu))
@@ -197,11 +196,16 @@ SigmaData = namedtuple("SigmaData",
                        "w presentation sigma_w z_min sigma_w_JK a_min_K")
 
 
-def _unique_min(W, elems, what):
+def _require(ok, w, what):
+    """Raise a PropertyViolation that names the poset element w unless ok."""
+    if not ok:
+        raise PropertyViolation(f"{w.name()}: {what}")
+
+
+def _unique_min(W, elems, what, w):
     minimal = [z for z in elems
                if not any(x != z and W.bruhat_leq(x, z) for x in elems)]
-    if len(minimal) != 1:
-        raise PropertyViolation(f"{what} has {len(minimal)} minimal elements")
+    _require(len(minimal) == 1, w, f"{what} has {len(minimal)} minimal elements")
     return minimal[0]
 
 
@@ -229,38 +233,31 @@ def compute_sigma(poset, w):
         _, w2 = qbg.distance_and_weight(z, yinv)
         if d.in_coroot_cone(vec_sub(gap, vec_add(w1, w2))):
             sigma_w.append(z)
-    z_min = _unique_min(W, reach, "{z : wt(x,z) <= mu - lam}")
-    if z_min != _unique_min(W, sigma_w, "Sigma_w"):
-        raise PropertyViolation("minimum of Sigma_w differs from z_min")
+    z_min = _unique_min(W, reach, "{z : wt(x,z) <= mu - lam}", w)
+    _require(z_min == _unique_min(W, sigma_w, "Sigma_w", w), w,
+             "minimum of Sigma_w differs from z_min")
 
     sigma_w_JK = _gateways(poset, w)
-    if not sigma_w_JK:
-        raise PropertyViolation("poset element below no extreme translation")
+    _require(sigma_w_JK, w, "poset element below no extreme translation")
 
     # iterative gateway search: walk K-descents of the candidate translation
     a = W.min_coset_rep(z_min, poset.J)
-    seen = 0
-    while True:
+    for _ in range(len(W) + 1):
         t = poset.translation_of(a)
         bad = next((ar for ar in poset.K
                     if not d.is_positive_affine(t.act(ar))), None)
         if bad is None:
             break
-        seen += 1
-        if seen > len(W):
-            raise PropertyViolation("gateway search failed to terminate")
-        s = W.reflection(bad.root)
-        a = W.min_coset_rep(s * a, poset.J)
+        a = W.min_coset_rep(W.reflection(bad.root) * a, poset.J)
+    _require(bad is None, w, "gateway search failed to terminate")
     a_min_K = a
 
-    brute = _unique_min(W, sigma_w_JK, "Sigma_w^{J,K}")
-    if brute != a_min_K:
-        raise PropertyViolation("gateway loop disagrees with the brute minimum")
+    brute = _unique_min(W, sigma_w_JK, "Sigma_w^{J,K}", w)
+    _require(brute == a_min_K, w, "gateway loop disagrees with the brute minimum")
     pr_WK, WJ_group = poset.coset_groups()
     coset = {p * z_min * u for p in pr_WK for u in WJ_group}
     hit = [b for b in coset if b in poset.WJK]
-    if len(hit) != 1 or hit[0] != a_min_K:
-        raise PropertyViolation("double-coset characterization failed")
+    _require(hit == [a_min_K], w, "double-coset characterization failed")
     return SigmaData(w=w, presentation=pres, sigma_w=sigma_w, z_min=z_min,
                      sigma_w_JK=sigma_w_JK, a_min_K=a_min_K)
 
@@ -290,30 +287,27 @@ def top_two_layer_report(poset):
         z1 = pres.x
         z2 = pres.y.inverse()
         dist, wt = qbg.distance_and_weight(z1, z2)
-        if dist != 1:
-            raise PropertyViolation("next-to-top element without a graph edge")
-        if tuple(pres.lam) != vec_sub(poset.mu, wt):
-            raise PropertyViolation("translation part off by the edge weight")
+        _require(dist == 1, w, "next-to-top element without a graph edge")
+        _require(tuple(pres.lam) == vec_sub(poset.mu, wt), w,
+                 "translation part off by the edge weight")
         if any(wt):
             beta = next((b for b, bv in zip(d.positive_roots, d.positive_coroots)
                          if bv == wt), None)
-            if beta is None:
-                raise PropertyViolation("edge weight is not a coroot")
-            if d.root_support(beta) <= set(poset.J):
-                raise PropertyViolation("edge weight lies in the J-span")
+            _require(beta is not None, w, "edge weight is not a coroot")
+            _require(not d.root_support(beta) <= set(poset.J), w,
+                     "edge weight lies in the J-span")
         # w and t differ in length by one, so w <= t iff t covers w
         above = [t for t, us in below.items() if w in us]
         expect = {poset.translation_of(z1), poset.translation_of(z2)}
-        if set(above) != expect or len(expect) != 2:
-            raise PropertyViolation("covering translations are not the expected two")
-        a_min = _unique_min(W, _gateways(poset, w), "gateway set")
+        _require(set(above) == expect and len(expect) == 2, w,
+                 "covering translations are not the expected two")
+        a_min = _unique_min(W, _gateways(poset, w), "gateway set", w)
         # w <= t_min and their lengths differ by one: the poset has the cover
         ar = label.get((gate_id[a_min], poset.index[w]))
-        if ar is None:
-            raise PropertyViolation(f"no cover from the minimal gateway's "
-                                    f"translation down to {w.name()}")
-        if classify(ar) != 2:
-            raise PropertyViolation("minimal-gateway label failed its class check")
+        _require(ar is not None, w, "no cover down from the minimal gateway's "
+                 "translation")
+        _require(classify(ar) == 2, w,
+                 "minimal-gateway label failed its class check")
         report.append({
             "element": w.name(),
             "z1": z1.word_str(), "z2": z2.word_str(),

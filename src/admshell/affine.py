@@ -155,20 +155,26 @@ def right_ascent(w, ar):
     return w.datum.is_positive_affine(w.act(ar))
 
 
-def length_zero_rep(w):
-    """The length-zero element of W_aff * w, by greedy left descent."""
+def _descend(w):
+    """(tau, letters): w = s_i1 ... s_ik tau, least left descent first."""
     d = w.datum
     simples = d.simple_affine_roots()
     refls = [simple_reflection(d, ar) for ar in simples]
+    letters = []
     while w.length > 0:
         winv = w.inverse()
-        for ar, s in zip(simples, refls):
-            if not d.is_positive_affine(winv.act(ar)):
-                w = s * w
-                break
-        else:
+        i = next((i for i, ar in enumerate(simples)
+                  if not d.is_positive_affine(winv.act(ar))), None)
+        if i is None:
             raise AssertionError("positive-length element with no left descent")
-    return w
+        letters.append(i)
+        w = refls[i] * w
+    return w, tuple(letters)
+
+
+def length_zero_rep(w):
+    """The length-zero element of W_aff * w, by greedy left descent."""
+    return _descend(w)[0]
 
 
 def affine_word(w):
@@ -177,22 +183,11 @@ def affine_word(w):
     The letter sequence is the lexicographically least reduced word of the
     W_aff-part.
     """
-    d = w.datum
     tau = length_zero_rep(w)
     u = tau.inverse() * w
     if u.length != w.length:
         raise AssertionError("length-zero factor did not preserve length")
-    simples = d.simple_affine_roots()
-    refls = [simple_reflection(d, ar) for ar in simples]
-    letters = []
-    while u.length > 0:
-        uinv = u.inverse()
-        for i, ar in enumerate(simples):
-            if not d.is_positive_affine(uinv.act(ar)):
-                letters.append(i)
-                u = refls[i] * u
-                break
-    return tau, tuple(letters)
+    return tau, _descend(u)[1]
 
 
 def bruhat_leq(w1, w2):
@@ -229,15 +224,11 @@ class AcutePresentation:
         y_aff = AffineElement.from_finite(self.y)
         return x_aff * AffineElement.translation_of(self.datum, self.lam) * y_aff
 
-    def _slack(self, i):
-        npos = self.datum.num_positive
-        dx = self.x.perm[i] >= npos
-        dy = self.y.inverse().perm[i] >= npos
-        return dx + self.datum.pairing_row(self.lam)[i] - dy
-
     def is_acute(self):
-        return all(self._slack(i) >= 0
-                   for i in range(self.datum.num_positive))
+        """Slack [x a_i < 0] + <lam, a_i> - [y^-1 a_i < 0] >= 0 for a_i > 0."""
+        npos, row = self.datum.num_positive, self.datum.pairing_row(self.lam)
+        xp, yp = self.x.perm, self.y.inverse().perm
+        return all((xp[i] >= npos) + row[i] >= (yp[i] >= npos) for i in range(npos))
 
     def length_value(self):
         return (self.x.length + self.datum.pairing(self.lam, self.datum.two_rho)
@@ -248,38 +239,43 @@ class AcutePresentation:
                 f"{self.y.word_str()})")
 
 
-def factorizations(w):
-    """All factorizations w = x t^lam y, one per y in W_0.
+def _acute_pairs(w):
+    """(x, y) with w = x t^lam y acute, y over W_0 in (length, word) order.
 
-    w y^-1 = t^{w.translation} x with x = w.finite y^-1, and
-    t^nu x = x t^{x^-1 nu}, so lam = x^-1 (w.translation).
+    For w = t^nu z, x = z y^-1 and lam = x^-1 nu, so <lam, a_i> = <nu, x a_i>
+    is a lookup in nu's pairing row, and no lam is formed for a rejected y.
     """
-    out = []
-    for y in w.datum.weyl_group():
+    npos = w.datum.num_positive
+    row = w.datum.pairing_row(w.translation)
+    for y in w.datum.weyl_group().ordered:
         x = w.finite * y.inverse()
-        lam = x.inverse().apply_coweight(w.translation)
-        out.append(AcutePresentation(x, lam, y))
-    out.sort(key=lambda p: (p.y.length, p.y.word))
-    return out
+        xp, yp = x.perm, y.inverse().perm
+        if all((xp[i] >= npos) + row[xp[i]] >= (yp[i] >= npos)
+               for i in range(npos)):
+            yield x, y
+
+
+def _presentation(w, x, y):
+    return AcutePresentation(x, x.inverse().apply_coweight(w.translation), y)
 
 
 def acute_presentations(w):
-    res = [p for p in factorizations(w) if p.is_acute()]
+    res = [_presentation(w, x, y) for x, y in _acute_pairs(w)]
     if not res:
         raise AssertionError("every element admits an acute presentation")
     return res
 
 
 def acute_presentation_K(w, K):
-    """An acute presentation with y(alpha) negative for every (alpha, k) in K."""
+    """The first acute presentation with y(alpha) < 0 for all (alpha, k) in K."""
     d = w.datum
     if not w.is_min_rep(K):
         raise InputError("element is not a minimal coset representative for K")
     cols = [d.root_index[ar.root] for ar in K]
-    for p in acute_presentations(w):
-        if all(p.y.perm[i] >= d.num_positive for i in cols):
-            return p
-    raise PropertyViolation("no K-compatible acute presentation found")
+    for x, y in _acute_pairs(w):
+        if all(y.perm[i] >= d.num_positive for i in cols):
+            return _presentation(w, x, y)
+    raise PropertyViolation(f"no K-compatible acute presentation of {w.name()}")
 
 
 def bruhat_leq_via_wt(pres, w2):

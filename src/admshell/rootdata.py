@@ -283,6 +283,9 @@ class RootDatum:
 
     def coroot_coords(self, vec):
         """Integer coordinates of vec in the simple coroots, or None."""
+        if len(vec) != self.rank:
+            raise InputError(f"coweight {tuple(vec)} does not have "
+                             f"{self.rank} coordinates")
         coords = solve_linear(self.simple_coroots, vec)
         if coords is None or any(c.denominator != 1 for c in coords):
             return None

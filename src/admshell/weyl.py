@@ -121,6 +121,7 @@ class WeylGroup:
         self.reflections = tuple(self._pool[self._reflection_perm(r)]
                                  for r in range(datum.num_positive))
         self._bruhat_bits = None
+        self._ordered = None
 
     def _intern(self, perm, cm):
         el = self._pool[perm] = WeylElement(self, perm, cm)
@@ -199,6 +200,14 @@ class WeylGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @property
+    def ordered(self):
+        """The elements in (length, word) order, built once."""
+        if self._ordered is None:
+            self._ordered = tuple(sorted(self.elements,
+                                         key=lambda w: (w.length, w.word)))
+        return self._ordered
+
     def longest_element(self, subset=None):
         if subset is None:
             # the unique element of maximal length closes the length order
@@ -224,16 +233,13 @@ class WeylGroup:
                         seen.add(t)
                         new.append(t)
             frontier = new
-        return sorted(seen, key=lambda w: (w.length, w.word))
+        return [w for w in self.ordered if w in seen]
 
     def min_coset_reps(self, J):
         """Minimal-length representatives of W / W_J."""
         npos = self.datum.num_positive
         cols = [self.simple_idx[j] for j in J]
-        reps = [w for w in self.elements
-                if all(w.perm[r] < npos for r in cols)]
-        reps.sort(key=lambda w: (w.length, w.word))
-        return reps
+        return [w for w in self.ordered if all(w.perm[r] < npos for r in cols)]
 
     def min_coset_rep(self, w, J):
         """The minimal-length element of w * W_J."""

@@ -1,15 +1,18 @@
+import re
+
 import pytest
 
-from admshell import (AffineElement, InputError, acute_presentations,
-                      acute_presentation_K, affine_word, bruhat_leq,
-                      bruhat_leq_via_wt, covers_down, inversions,
+import admshell.affine
+from admshell import (AffineElement, InputError, PropertyViolation,
+                      acute_presentations, acute_presentation_K, affine_word,
+                      bruhat_leq, bruhat_leq_via_wt, covers_down, inversions,
                       length_zero_rep, simple_reflection)
-from admshell.affine import (AcutePresentation, affine_reflection,
-                             factorizations)
+from admshell.affine import AcutePresentation, affine_reflection
 from admshell.admissible import build_admissible
-from admshell.cli import _parse_mu
+from admshell.cli import _parse_K, _parse_mu
 from admshell.rootdata import AffineRoot, build_root_datum
-from conftest import affine_ball, datum
+from conftest import (MATRIX, affine_ball, datum, dominant_mus,
+                      spherical_subsets)
 
 
 def neg(v):
@@ -255,6 +258,22 @@ def test_dominant_translation_standard_presentation():
     assert p.is_acute()
 
 
+def factorizations(w):
+    """Oracle: every factorization w = x t^lam y, one per y in W_0, sorted by
+    (length, word) of y.
+
+    w y^-1 = t^{w.translation} x with x = w.finite y^-1, and
+    t^nu x = x t^{x^-1 nu}, so lam = x^-1 (w.translation).
+    """
+    out = []
+    for y in w.datum.weyl_group():
+        x = w.finite * y.inverse()
+        lam = x.inverse().apply_coweight(w.translation)
+        out.append(AcutePresentation(x, lam, y))
+    out.sort(key=lambda p: (p.y.length, p.y.word))
+    return out
+
+
 def test_length_formula_tight_iff_acute():
     elems, _ = affine_ball("A2", 4)
     for w in elems:
@@ -291,3 +310,70 @@ def test_wt_criterion_matches_cover_order():
                 continue
             pres = acute_presentations(w1)[0]
             assert bruhat_leq_via_wt(pres, w2) == leq(w1, w2)
+
+
+def as_triple(p):
+    return p.x, p.lam, p.y
+
+
+def oracle_acute(w):
+    """The acute factorizations, told by the tight length formula."""
+    return [p for p in factorizations(w) if p.length_value() == w.length]
+
+
+def check_scan_against_the_oracle(poset):
+    d, K = poset.datum, poset.K
+    for w in poset.elements:
+        acute = oracle_acute(w)
+        assert list(map(as_triple, acute_presentations(w))) == \
+            list(map(as_triple, acute))
+        compatible = [p for p in acute
+                      if all(d.root_sign(p.y.apply_weight(ar.root)) < 0
+                             for ar in K)]
+        assert as_triple(acute_presentation_K(w, K)) == as_triple(compatible[0])
+
+
+@pytest.mark.parametrize("name", ["GL3", "B2", "G2"])
+def test_acute_scan_matches_the_oracle_on_the_matrix(name):
+    d = datum(name)
+    for mu in dominant_mus(name, *MATRIX[name]):
+        for K in spherical_subsets(d):
+            check_scan_against_the_oracle(build_admissible(d, mu, K))
+
+
+@pytest.mark.parametrize("name, mu, basis, K", [
+    ("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
+    ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")])
+def test_acute_scan_matches_the_oracle_on_parahoric_rows(name, mu, basis, K):
+    d = build_root_datum(name)
+    poset = build_admissible(d, _parse_mu(d, mu, basis), _parse_K(d, K))
+    assert len(poset.K) == len(K.split(","))
+    check_scan_against_the_oracle(poset)
+
+
+def test_acute_presentation_K_builds_one_presentation(monkeypatch):
+    d = build_root_datum("D4-adjoint")
+    poset = build_admissible(d, _parse_mu(d, "1,0,0,0", "fw"),
+                             _parse_K(d, "a1,a3,a4"))
+    built = []
+
+    class Counted(AcutePresentation):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(admshell.affine, "AcutePresentation", Counted)
+    for w in poset.elements:
+        before = len(built)
+        acute_presentation_K(w, poset.K)
+        assert len(built) == before + 1
+    assert len(built) == len(poset.elements)
+
+
+def test_acute_presentation_K_failure_names_the_element(monkeypatch):
+    d = datum("GL3")
+    K = (AffineRoot(d.simple_roots[0], 0),)
+    tau = length_zero_rep(AffineElement.translation_of(d, (1, 0, 0)))
+    monkeypatch.setattr(admshell.affine, "_acute_pairs", lambda w: iter(()))
+    with pytest.raises(PropertyViolation, match=re.escape(tau.name())):
+        acute_presentation_K(tau, K)

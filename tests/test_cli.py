@@ -440,3 +440,19 @@ def test_cli_bytes_independent_of_hash_seed():
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0].startswith(b"{")
+
+
+def test_full_check_failure_names_the_element(capsys, monkeypatch):
+    from admshell import admissible
+    from conftest import datum
+
+    poset = admissible.build_admissible(datum("GL3"), (1, 0, 0), ["a1"])
+    target = poset.elements[-2].name()
+    real = admissible._gateways
+    monkeypatch.setattr(admissible, "_gateways", lambda poset, w: (
+        [] if w.name() == target else real(poset, w)))
+    code, _, err = run(capsys, "verify", "--datum", "GL3", "--mu", "1,0,0",
+                       "--K", "a1", "--check", "full")
+    assert code == 1
+    assert err == (f"property violation: {target}: poset element below no "
+                   f"extreme translation\n")

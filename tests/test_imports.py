@@ -46,3 +46,24 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+PUBLIC_API = [
+    "AcutePresentation", "AdmissiblePoset", "AffineElement", "AffineRoot",
+    "InputError", "LabelOrder", "LabeledPoset", "PropertyViolation",
+    "QuantumBruhatGraph", "RootDatum", "WeylElement", "WeylGroup",
+    "acute_presentation_K", "acute_presentations", "adm_membership",
+    "affine_reflection", "affine_word", "bruhat_leq", "bruhat_leq_via_wt",
+    "build_admissible", "build_label_order", "build_root_datum",
+    "compute_sigma", "covers_down", "coxeter_subset", "inversions",
+    "label_edges", "length_zero_rep", "make_classifier", "repair_step",
+    "simple_reflection", "subsystem_positive", "top_two_layer_report",
+]
+
+
+def test_the_public_api_is_pinned():
+    import admshell
+
+    assert admshell.__all__ == PUBLIC_API
+    for name in admshell.__all__:
+        assert getattr(admshell, name, None) is not None, name

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from admshell import InputError, build_root_datum
+from admshell import (InputError, acute_presentations, adm_membership,
+                      build_root_datum)
+from admshell.affine import AffineElement
 from admshell.exact import solve_linear
 from admshell.rootdata import AffineRoot
 from conftest import MATRIX, datum
@@ -224,3 +226,18 @@ def test_coroot_coords_match_the_solve_route(name):
         assert d.in_coroot_cone(vec) == d.in_coroot_cone(vec) == \
             (in_cone is not None)
         assert d.format_coweight(vec) == reference_format_coweight(d, vec)
+
+
+def test_wrong_length_coweights_are_input_errors():
+    gl3 = datum("GL3")
+    for vec in [(1,), (1, 0, 0, 0)]:
+        with pytest.raises(InputError, match="3 coordinates"):
+            gl3.coroot_coords(vec)
+        with pytest.raises(InputError, match="3 coordinates"):
+            gl3.in_coroot_cone(vec)
+    pres = acute_presentations(AffineElement.translation_of(gl3, (1, 0, 0)))[0]
+    assert adm_membership(pres, (1, 0, 0))
+    with pytest.raises(InputError):
+        adm_membership(pres, (2,))
+    with pytest.raises(InputError, match="2 coordinates"):
+        datum("A2").format_coweight((1,))

@@ -134,6 +134,32 @@ def test_min_coset_reps():
                         assert (w * u).length == w.length + u.length
 
 
+def by_length_and_word(elems):
+    return sorted(elems, key=lambda w: (w.length, w.word))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "A1xA1", "A3", "D4"])
+def test_cosets_and_subgroups_match_sorted_bruteforce(name):
+    d = datum(name)
+    W = d.weyl_group()
+    assert list(W.ordered) == by_length_and_word(W.elements)
+    for r in range(d.nsimple + 1):
+        for J in itertools.combinations(range(d.nsimple), r):
+            # w is minimal in w W_J iff w s_j is longer for every j in J
+            assert W.min_coset_reps(J) == by_length_and_word(
+                w for w in W
+                if all((w * W.simple(j)).length > w.length for j in J))
+            # a parabolic subgroup: the reduced words of its elements use J
+            assert W.subgroup([W.simple(j) for j in J]) == by_length_and_word(
+                w for w in W if set(w.word) <= set(J))
+    # subgroups generated by two reflections, closed by brute force
+    for gens in itertools.combinations(W.reflections, 2):
+        closed, grown = set(), {W.identity}
+        while grown != closed:
+            closed, grown = grown, grown | {u * g for u in grown for g in gens}
+        assert W.subgroup(list(gens)) == by_length_and_word(closed)
+
+
 ORACLE_DATA = ["A3", "B3", "C3", "G2", "D4", "GL3", "A1xA1"]
 # cut to the rank, neither a root nor a coroot of any datum above
 OFF_LATTICE_POINT = (7, -5, 11, 4)
