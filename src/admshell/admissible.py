@@ -56,7 +56,9 @@ class AdmissiblePoset:
     """
 
     def __init__(self, datum, mu, K):
-        mu = tuple(int(c) for c in mu)
+        mu = tuple(mu)
+        if not all(type(c) is int for c in mu):
+            raise InputError(f"mu must have integer coordinates, not {mu!r}")
         if not datum.is_dominant(mu):
             raise InputError(f"{mu} is not dominant")
         K = canonical_K(datum, K)

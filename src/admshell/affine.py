@@ -247,7 +247,7 @@ def _acute_pairs(w):
     """
     npos = w.datum.num_positive
     row = w.datum.pairing_row(w.translation)
-    for y in w.datum.weyl_group().ordered:
+    for y in w.datum.weyl_group():
         x = w.finite * y.inverse()
         xp, yp = x.perm, y.inverse().perm
         if all((xp[i] >= npos) + row[xp[i]] >= (yp[i] >= npos)

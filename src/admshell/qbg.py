@@ -115,14 +115,12 @@ class QuantumBruhatGraph:
         extend(i, [])
         return out
 
-    def paths_of_length(self, u, v, length, cap=None):
-        """All u -> v paths of the given length (up to cap, if set)."""
+    def paths_of_length(self, u, v, length):
+        """All u -> v paths of the given length."""
         i, j = self._idx(u), self._idx(v)
         out = []
 
         def extend(a, path):
-            if cap is not None and len(out) >= cap:
-                return
             rest = length - len(path)
             if rest == 0:
                 if a == j:

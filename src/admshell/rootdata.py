@@ -22,8 +22,11 @@ class AffineRoot:
     __slots__ = ("root", "level", "_hash")
 
     def __init__(self, root, level):
+        if type(level) is not int:
+            raise InputError(f"affine root level must be an integer, "
+                             f"not {level!r}")
         self.root = tuple(root)
-        self.level = int(level)
+        self.level = level
         self._hash = hash((self.root, self.level))
 
     def __eq__(self, other):

@@ -6,6 +6,9 @@ An element is stored as the permutation it induces on the datum's root list
 is a tuple composition plus a pool lookup, the length is the number of
 positive roots sent to negative ones, and the action on a root is an index
 lookup.  The coweight matrix ``cm`` is kept only to act on translations.
+``WeylGroup.elements`` is the one order of the group: by length, then by
+each element's lexicographically least reduced word, and both are set while
+the group is generated.
 """
 
 from operator import itemgetter
@@ -22,18 +25,18 @@ class WeylElement:
     """Group element stored as its permutation of the root indices.
 
     perm[i] is the index of w(roots[i]); cm is the matrix of w on coweights
-    (X_*).  Elements are interned per group, so equality is identity.
+    (X_*); word is the lexicographically least reduced word, as simple
+    indices, and length its length.  Elements are interned per group, so
+    equality is identity.
     """
 
-    __slots__ = ("group", "perm", "cm", "_hash", "_len", "_word", "_inv")
+    __slots__ = ("group", "perm", "cm", "_hash", "length", "word", "_inv")
 
     def __init__(self, group, perm, cm):
         self.group = group
         self.perm = perm
         self.cm = cm
         self._hash = hash(perm)
-        self._len = None
-        self._word = None
         self._inv = None
 
     def __hash__(self):
@@ -71,32 +74,6 @@ class WeylElement:
     def is_identity(self):
         return self is self.group.identity
 
-    @property
-    def length(self):
-        if self._len is None:
-            n = self.group.datum.num_positive
-            self._len = sum(1 for j in self.perm[:n] if j >= n)
-        return self._len
-
-    @property
-    def word(self):
-        """Lexicographically least reduced word, as simple indices."""
-        if self._word is None:
-            W = self.group
-            n = W.datum.num_positive
-            w = self
-            letters = []
-            while not w.is_identity:
-                inv = w.inverse().perm
-                i = next((i for i, r in enumerate(W.simple_idx)
-                          if inv[r] >= n), None)
-                if i is None:
-                    raise AssertionError("no left descent on a non-identity element")
-                letters.append(i)
-                w = W.simples[i] * w
-            self._word = tuple(letters)
-        return self._word
-
     def word_str(self):
         return " ".join(f"s{i + 1}" for i in self.word) if self.word else "e"
 
@@ -121,7 +98,6 @@ class WeylGroup:
         self.reflections = tuple(self._pool[self._reflection_perm(r)]
                                  for r in range(datum.num_positive))
         self._bruhat_bits = None
-        self._ordered = None
 
     def _intern(self, perm, cm):
         el = self._pool[perm] = WeylElement(self, perm, cm)
@@ -154,20 +130,20 @@ class WeylGroup:
         return self.reflections[i % self.datum.num_positive]
 
     def _generate(self):
-        """All elements, by length; each layer sorted by the matrix of the
-        element on weights, an order that the element ids, and so the dot
-        output and the recorded outputs, rely on.
+        """All elements in (length, word) order, word the lexicographically
+        least reduced word.
 
-        Right multiplication by a simple reflection is a rank-one update:
-        with alpha simple, cm(w s) = cm(w) - (w alpha^vee) (x) alpha, where
-        w alpha^vee is a lookup.  The pairing is W-invariant, so the weight
-        matrix of w is the transpose of cm(w^-1); a length layer is closed
-        under inversion, so once it is complete its sort keys are at hand.
+        Layer k+1 comes from layer k by left multiplication: for each simple
+        s_i in index order and each w of layer k in order, t = s_i w is kept
+        when w^-1 alpha_i > 0 and t is new.  The first i to reach t is then
+        its least left descent, so word(t) = (i,) + word(w), and the layer
+        comes out in word order with no sort.  cm(s_i w) = cm(w) -
+        alpha_i^vee (x) w^-1 alpha_i, and w^-1 alpha_i is a lookup.
         """
         d = self.datum
-        n = d.rank
+        n, npos = d.rank, d.num_positive
         ident = self.identity
-        ident._len = 0
+        ident.length, ident.word = 0, ()
         placed = {ident.perm}
         order = [ident]
         frontier = [ident]
@@ -175,22 +151,26 @@ class WeylGroup:
         while frontier:
             depth += 1
             new = []
-            for w in frontier:
-                wp, wcm = w.perm, w.cm
-                for s, r in zip(self.simples, self.simple_idx):
-                    perm = itemgetter(*s.perm)(wp)
+            for i, (s, r) in enumerate(zip(self.simples, self.simple_idx)):
+                av = d.coroots[r]
+                for w in frontier:
+                    wp = w.perm
+                    j = wp.index(r)              # w(roots[j]) = alpha_i
+                    if j >= npos:                # s_i w is shorter, and placed
+                        continue
+                    perm = itemgetter(*wp)(s.perm)
                     if perm in placed:
                         continue
                     placed.add(perm)
-                    a, wav = d.roots[r], d.coroots[wp[r]]
+                    beta, wcm = d.roots[j], w.cm
                     t = self._pool.get(perm)     # the simples are interned
                     if t is None:
                         t = self._intern(perm, tuple(
-                            tuple(wcm[i][j] - wav[i] * a[j] for j in range(n))
-                            for i in range(n)))
-                    t._len = depth
+                            tuple(wcm[k][m] - av[k] * beta[m] for m in range(n))
+                            for k in range(n)))
+                    t.length, t.word = depth, (i,) + w.word
                     new.append(t)
-            frontier = sorted(new, key=lambda t: tuple(zip(*t.inverse().cm)))
+            frontier = new
             order.extend(frontier)
         return tuple(order)
 
@@ -199,14 +179,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    @property
-    def ordered(self):
-        """The elements in (length, word) order, built once."""
-        if self._ordered is None:
-            self._ordered = tuple(sorted(self.elements,
-                                         key=lambda w: (w.length, w.word)))
-        return self._ordered
 
     def longest_element(self, subset=None):
         if subset is None:
@@ -233,13 +205,13 @@ class WeylGroup:
                         seen.add(t)
                         new.append(t)
             frontier = new
-        return [w for w in self.ordered if w in seen]
+        return [w for w in self.elements if w in seen]
 
     def min_coset_reps(self, J):
         """Minimal-length representatives of W / W_J."""
         npos = self.datum.num_positive
         cols = [self.simple_idx[j] for j in J]
-        return [w for w in self.ordered if all(w.perm[r] < npos for r in cols)]
+        return [w for w in self.elements if all(w.perm[r] < npos for r in cols)]
 
     def min_coset_rep(self, w, J):
         """The minimal-length element of w * W_J."""

@@ -6,6 +6,7 @@ import pytest
 import admshell as ash
 from admshell.admissible import canonical_K, is_spherical
 from admshell.affine import AffineElement, covers_down, simple_reflection
+from admshell.exact import vec_add, vec_sub
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +50,51 @@ def affine_ball(name, radius):
         return bool(down[idx[w2]] >> idx[w1] & 1)
 
     return elems, leq
+
+
+def walk_weights_two_past_distance(g, u):
+    """{v: weights of the u -> v walks with d(u, v) + 2 edges} in a QBG.
+
+    The weight sets are carried forward one edge at a time over ``g.out``,
+    so no walk is enumerated and none is cut off; a v with no such walk is
+    absent.
+    """
+    dist = g._bfs(u)[0]
+    layer = {u: {(0,) * g.datum.rank}}
+    found = {}
+    for step in range(1, max(dist) + 3):
+        nxt = {}
+        for a, weights in layer.items():
+            for e in g.out[a]:
+                s = nxt.setdefault(e.dst, set())
+                s.update({vec_add(w, e.weight) for w in weights}
+                         if e.quantum else weights)
+        layer = nxt
+        for v, weights in layer.items():
+            if dist[v] + 2 == step:
+                found[v] = weights
+    return found
+
+
+def check_longer_walks_weigh_more(d, g, oracle_max=24):
+    """QBG property (b): a walk of d(u, v) + 2 edges weighs more than wt(u, v).
+
+    Every such weight differs from wt(u, v) by a nonzero element of the
+    coroot cone.  On groups of at most ``oracle_max`` elements the weight
+    sets are also checked against full enumeration by ``paths_of_length``.
+    """
+    n = len(g.group)
+    for u in range(n):
+        found = walk_weights_two_past_distance(g, u)
+        for v in range(n):
+            dist, wt = g.distance_and_weight(u, v)
+            for w in found.get(v, ()):
+                assert w != wt, (u, v)
+                assert d.in_coroot_cone(vec_sub(w, wt)), (u, v)
+            if n <= oracle_max:
+                paths = g.paths_of_length(u, v, dist + 2)
+                assert {g.path_weight(p) for p in paths} == \
+                    found.get(v, set()), (u, v)
 
 
 def spherical_subsets(d):

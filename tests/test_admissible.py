@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from admshell import (AffineElement, InputError, PropertyViolation,
@@ -97,6 +99,16 @@ def test_spherical_check():
         build_admissible(d, d.simple_coroots[0], ["a1", "a0"])
     with pytest.raises(InputError):
         build_admissible(d, neg(d.simple_coroots[0]), ())
+
+
+@pytest.mark.parametrize("mu", [(1.5, 0, 0), (Fraction(3, 2), 0, 0),
+                                ("1", 0, 0), (1.0, 0, 0), (Fraction(1), 0, 0)])
+def test_non_integer_mu_is_an_input_error(mu):
+    # each used to be truncated by int() to the 7-element poset of (1, 0, 0)
+    d = datum("GL3")
+    assert len(build_admissible(d, (1, 0, 0), ()).elements) == 7
+    with pytest.raises(InputError, match="integer coordinates"):
+        build_admissible(d, mu, ())
 
 
 def test_adm_membership_examples(gl3_case):

@@ -3,14 +3,18 @@
 ``perfbench/spans.py`` patches ``(owner, attr)`` pairs to record per-layer
 spans.  A renamed or deleted attribute would otherwise only show up as a
 missing metric in a traced run, so this test fails on it instead.  The
-module is loaded from its file without writing bytecode next to it.
+module is loaded from its file without writing bytecode next to it.  The
+benchmark's determinism script runs here too, in a child process.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -48,3 +52,13 @@ def test_span_attribute_functions_read_the_gl3_pipeline(gl3_case):
         "relevant_roots": 21, "capped": 18}
     assert spans._dual_el_counts((lp,), lp.verify_dual_el()) == {
         "intervals_checked": 12}
+
+
+def test_determinism_script_passes():
+    # CLI output must not depend on PYTHONHASHSEED, and the 24 matrix-sweep
+    # jobs it runs must match their goldens
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "determinism.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "determinism: PASS" in proc.stdout

@@ -1,11 +1,12 @@
 import copy
+import hashlib
 import itertools
 
 import pytest
 
 from admshell import PropertyViolation
 from admshell.exact import vec_add, vec_sub
-from conftest import datum
+from conftest import check_longer_walks_weigh_more, datum
 
 
 def wgroup(name):
@@ -99,11 +100,8 @@ def test_weight_coherence_and_monotonicity():
                 paths = g.all_shortest_paths(u, v)
                 assert all(len(p) == dist for p in paths)
                 assert {g.path_weight(p) for p in paths} == {wt}
-                longer = g.paths_of_length(u, v, dist + 2, cap=4000)
-                for p in longer:
-                    pw = g.path_weight(p)
-                    assert pw != wt
-                    assert d.in_coroot_cone(vec_sub(pw, wt))
+        # every walk of d+2 edges weighs more, checked against enumeration
+        check_longer_walks_weigh_more(d, g)
 
 
 def test_triangle_inequality():
@@ -161,6 +159,28 @@ def test_dot_export():
     text = datum("A2").qbg().to_dot()
     assert text.startswith("digraph qbg")
     assert "style=dashed" in text and "style=solid" in text
+
+
+# sha256 of the sorted lines of `to_dot()` (`qbg --out dot`), recorded when
+# each length layer of W was still sorted by its weight matrix.  The element
+# order sets only the line order: the rank-2 types keep their bytes, A3 and
+# B3 list their lines in another order.
+DOT_SORTED_SHA256 = {
+    "A2": "f37561b23ba87a6648391b494f06a33bb0e32e9477ec729f477e735315d325e5",
+    "B2": "9db7612489c9ffc786d34fca0a1b3d3cfa8d9c7e4eb8f81bfb4ba2e49cc2377c",
+    "G2": "a889a4f45a7dd1520031675d2c00b0235c442bb308fc88dfef297e883c67da58",
+    "GL3": "f37561b23ba87a6648391b494f06a33bb0e32e9477ec729f477e735315d325e5",
+    "A1xA1": "07ec637b5fdcba31a2992928c128289c86fc428865a8e98bcee405ab5770fe1c",
+    "A3": "510b98ae3996be297971459a288c34c35a68da9a861bef149ce70993e9643022",
+    "B3": "3ec28043c7a609ddc2cf7c4140c0b672c25525ca57f54c50055a0fdddc9f573c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_SORTED_SHA256))
+def test_dot_lines_are_pinned_up_to_order(name):
+    lines = sorted(datum(name).qbg().to_dot().splitlines())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DOT_SORTED_SHA256[name]
 
 
 def tampered(name, edit):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -241,3 +242,12 @@ def test_wrong_length_coweights_are_input_errors():
         adm_membership(pres, (2,))
     with pytest.raises(InputError, match="2 coordinates"):
         datum("A2").format_coweight((1,))
+
+
+@pytest.mark.parametrize("level", [0.5, Fraction(1, 2), "0", 0.0, Fraction(0)])
+def test_non_integer_affine_root_level_is_an_input_error(level):
+    # 0.5 used to be truncated, so AffineRoot(a, 0.5) == AffineRoot(a, 0)
+    a = datum("A2").simple_roots[0]
+    assert AffineRoot(a, 0).level == 0
+    with pytest.raises(InputError, match="level must be an integer"):
+        AffineRoot(a, level)

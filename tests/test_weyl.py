@@ -142,7 +142,7 @@ def by_length_and_word(elems):
 def test_cosets_and_subgroups_match_sorted_bruteforce(name):
     d = datum(name)
     W = d.weyl_group()
-    assert list(W.ordered) == by_length_and_word(W.elements)
+    assert list(W.elements) == by_length_and_word(W.elements)
     for r in range(d.nsimple + 1):
         for J in itertools.combinations(range(d.nsimple), r):
             # w is minimal in w W_J iff w s_j is longer for every j in J

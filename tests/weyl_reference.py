@@ -2,9 +2,10 @@
 
 This is the representation the library used before elements became
 permutations of the roots.  Products are matrix products, the length counts
-positive roots sent to negative ones by the weight matrix, and each length
-layer is sorted by that matrix.  It is kept as an independent oracle for
-``admshell.weyl``; nothing in the library imports it.
+positive roots sent to negative ones by the weight matrix, the word is read
+off left descents of the weight matrix, and each length layer is sorted by
+that word.  It is kept as an independent oracle for ``admshell.weyl``;
+nothing in the library imports it.
 """
 
 
@@ -103,7 +104,7 @@ class MatrixWeylGroup:
                     if t not in seen:
                         seen.add(t)
                         new.append(t)
-            new.sort(key=lambda w: w.wm)
+            new.sort(key=lambda w: w.word)
             order.extend(new)
             frontier = new
         self.elements = tuple(order)
