@@ -76,14 +76,14 @@ def walk_weights_two_past_distance(g, u):
     return found
 
 
-def check_longer_walks_weigh_more(d, g, oracle_max=24):
+def check_longer_walks_weigh_more(g, oracle_max=24):
     """QBG property (b): a walk of d(u, v) + 2 edges weighs more than wt(u, v).
 
     Every such weight differs from wt(u, v) by a nonzero element of the
     coroot cone.  On groups of at most ``oracle_max`` elements the weight
     sets are also checked against full enumeration by ``paths_of_length``.
     """
-    n = len(g.group)
+    d, n = g.datum, len(g.group)
     for u in range(n):
         found = walk_weights_two_past_distance(g, u)
         for v in range(n):

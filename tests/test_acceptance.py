@@ -165,8 +165,7 @@ def test_05_qbg_suite():
     # (b) every walk of length d+2 weighs strictly more: exact and uncapped,
     # with full enumeration as the oracle on the small groups
     for name in PATH_TYPES:
-        d = datum(name)
-        check_longer_walks_weigh_more(d, d.qbg())
+        check_longer_walks_weigh_more(datum(name).qbg())
     _report(5, f"weight function verified for {', '.join(QBG_TYPES)}, "
                f"property (b) also for D4 "
                f"({time.perf_counter() - t0:.1f}s)")

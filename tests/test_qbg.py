@@ -101,7 +101,7 @@ def test_weight_coherence_and_monotonicity():
                 assert all(len(p) == dist for p in paths)
                 assert {g.path_weight(p) for p in paths} == {wt}
         # every walk of d+2 edges weighs more, checked against enumeration
-        check_longer_walks_weigh_more(d, g)
+        check_longer_walks_weigh_more(g)
 
 
 def test_triangle_inequality():
