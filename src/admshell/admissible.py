@@ -205,10 +205,16 @@ def _require(ok, w, what):
 
 
 def _unique_min(W, elems, what, w):
-    minimal = [z for z in elems
-               if not any(x != z and W.bruhat_leq(x, z) for x in elems)]
-    _require(len(minimal) == 1, w, f"{what} has {len(minimal)} minimal elements")
-    return minimal[0]
+    """The least element of elems, which must have one.
+
+    A finite poset has one minimal element iff it has a least element, and
+    in the length order of W.elements only the first member can be it.
+    """
+    _require(elems, w, f"{what} is empty")
+    z = min(elems, key=W.index.__getitem__)
+    _require(all(W.bruhat_leq(z, x) for x in elems), w,
+             f"{what} has no least element")
+    return z
 
 
 def _gateways(poset, w):

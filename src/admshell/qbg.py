@@ -94,55 +94,6 @@ class QuantumBruhatGraph:
     def wt(self, u, v):
         return self.distance_and_weight(u, v)[1]
 
-    def all_shortest_paths(self, u, v):
-        """Every path of length d(u, v), as a list of edge lists."""
-        i, j = self._idx(u), self._idx(v)
-        dist_u, _ = self._bfs(i)
-        dist_j = None
-        out = []
-
-        def extend(a, path):
-            if a == j and len(path) == dist_u[j]:
-                out.append(list(path))
-                return
-            for e in self.out[a]:
-                if dist_u[e.dst] == dist_u[a] + 1 \
-                        and dist_u[a] + 1 + self._bfs(e.dst)[0][j] == dist_u[j]:
-                    path.append(e)
-                    extend(e.dst, path)
-                    path.pop()
-
-        extend(i, [])
-        return out
-
-    def paths_of_length(self, u, v, length):
-        """All u -> v paths of the given length."""
-        i, j = self._idx(u), self._idx(v)
-        out = []
-
-        def extend(a, path):
-            rest = length - len(path)
-            if rest == 0:
-                if a == j:
-                    out.append(list(path))
-                return
-            da = self._bfs(a)[0][j]
-            if da > rest:
-                return
-            for e in self.out[a]:
-                path.append(e)
-                extend(e.dst, path)
-                path.pop()
-
-        extend(i, [])
-        return out
-
-    def path_weight(self, path):
-        w = (0,) * self.datum.rank
-        for e in path:
-            w = vec_add(w, e.weight)
-        return w
-
     @staticmethod
     def is_downup(path):
         return not any(not a.quantum and b.quantum

@@ -5,37 +5,42 @@ An element is stored as the permutation it induces on the datum's root list
 (``RootDatum.roots``: the positive roots, then their negatives), so a product
 is a tuple composition plus a pool lookup, the length is the number of
 positive roots sent to negative ones, and the action on a root is an index
-lookup.  The coweight matrix ``cm`` is kept only to act on translations.
-``WeylGroup.elements`` is the one order of the group: by length, then by
-each element's lexicographically least reduced word, and both are set while
-the group is generated.
+lookup.  Any other weight, and every coweight, is acted on by the simple
+reflections of the element's word.  ``WeylGroup.elements`` is the one order
+of the group: by length, then by each element's lexicographically least
+reduced word, and both are set while the group is generated.  The Bruhat
+order is decided by the lifting property along the word, with no table.
 """
 
 from operator import itemgetter
 
 from .errors import InputError
-from .shellcheck import closure_bits
 
 
-def _matvec(M, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
+def _reflect_along(word, v, pair, shift):
+    """s_{i_1} ... s_{i_k} v for word (i_1, ..., i_k), where s_i v =
+    v - <pair[i], v> shift[i]."""
+    v = tuple(v)
+    for i in reversed(word):
+        k = sum(x * y for x, y in zip(pair[i], v))
+        if k:
+            v = tuple(x - k * y for x, y in zip(v, shift[i]))
+    return v
 
 
 class WeylElement:
     """Group element stored as its permutation of the root indices.
 
-    perm[i] is the index of w(roots[i]); cm is the matrix of w on coweights
-    (X_*); word is the lexicographically least reduced word, as simple
-    indices, and length its length.  Elements are interned per group, so
-    equality is identity.
+    perm[i] is the index of w(roots[i]); word is the lexicographically least
+    reduced word, as simple indices, and length its length.  Elements are
+    interned per group, so equality is identity.
     """
 
-    __slots__ = ("group", "perm", "cm", "_hash", "length", "word", "_inv")
+    __slots__ = ("group", "perm", "_hash", "length", "word", "_inv")
 
-    def __init__(self, group, perm, cm):
+    def __init__(self, group, perm):
         self.group = group
         self.perm = perm
-        self.cm = cm
         self._hash = hash(perm)
         self._inv = None
 
@@ -62,13 +67,13 @@ class WeylElement:
         i = d.root_index.get(tuple(x))
         if i is not None:
             return d.roots[self.perm[i]]
-        # <w lam, w x> = <lam, x>: w acts on weights by the transpose of cm(w^-1)
-        cinv = self.inverse().cm
-        return tuple(sum(cinv[j][i] * x[j] for j in range(len(x)))
-                     for i in range(len(x)))
+        # s_i x = x - <alpha_i^vee, x> alpha_i
+        return _reflect_along(self.word, x, d.simple_coroots, d.simple_roots)
 
     def apply_coweight(self, lam):
-        return _matvec(self.cm, lam)
+        # s_i lam = lam - <lam, alpha_i> alpha_i^vee
+        d = self.group.datum
+        return _reflect_along(self.word, lam, d.simple_roots, d.simple_coroots)
 
     @property
     def is_identity(self):
@@ -84,23 +89,20 @@ class WeylElement:
 class WeylGroup:
     def __init__(self, datum):
         self.datum = datum
-        n = datum.rank
-        idx = datum.root_index
-        self.simple_idx = tuple(idx[a] for a in datum.simple_roots)
+        self.simple_idx = tuple(datum.root_index[a]
+                                for a in datum.simple_roots)
         self._pool = {}
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                      for i in range(n))
-        self.identity = self._intern(tuple(range(len(datum.roots))), ident)
-        self.simples = [self._reflection_element(r) for r in self.simple_idx]
+        self.identity = self._intern(tuple(range(len(datum.roots))))
+        self.simples = [self._intern(self._reflection_perm(r))
+                        for r in self.simple_idx]
         self.elements = self._generate()
         self.index = {w: i for i, w in enumerate(self.elements)}
         # one reflection per positive root, in the order of the root list
         self.reflections = tuple(self._pool[self._reflection_perm(r)]
                                  for r in range(datum.num_positive))
-        self._bruhat_bits = None
 
-    def _intern(self, perm, cm):
-        el = self._pool[perm] = WeylElement(self, perm, cm)
+    def _intern(self, perm):
+        el = self._pool[perm] = WeylElement(self, perm)
         return el
 
     def _reflection_perm(self, r):
@@ -112,14 +114,6 @@ class WeylGroup:
             k = sum(x * y for x, y in zip(av, beta))
             perm.append(d.root_index[tuple(b - k * c for b, c in zip(beta, a))])
         return tuple(perm)
-
-    def _reflection_element(self, r):
-        d = self.datum
-        a, av = d.roots[r], d.coroots[r]
-        n = d.rank
-        cm = tuple(tuple((1 if i == j else 0) - av[i] * a[j]
-                         for j in range(n)) for i in range(n))
-        return self._intern(self._reflection_perm(r), cm)
 
     def simple(self, i):
         return self.simples[i]
@@ -137,11 +131,9 @@ class WeylGroup:
         s_i in index order and each w of layer k in order, t = s_i w is kept
         when w^-1 alpha_i > 0 and t is new.  The first i to reach t is then
         its least left descent, so word(t) = (i,) + word(w), and the layer
-        comes out in word order with no sort.  cm(s_i w) = cm(w) -
-        alpha_i^vee (x) w^-1 alpha_i, and w^-1 alpha_i is a lookup.
+        comes out in word order with no sort.
         """
-        d = self.datum
-        n, npos = d.rank, d.num_positive
+        npos = self.datum.num_positive
         ident = self.identity
         ident.length, ident.word = 0, ()
         placed = {ident.perm}
@@ -152,22 +144,17 @@ class WeylGroup:
             depth += 1
             new = []
             for i, (s, r) in enumerate(zip(self.simples, self.simple_idx)):
-                av = d.coroots[r]
                 for w in frontier:
                     wp = w.perm
-                    j = wp.index(r)              # w(roots[j]) = alpha_i
-                    if j >= npos:                # s_i w is shorter, and placed
+                    if wp.index(r) >= npos:      # s_i w is shorter, and placed
                         continue
                     perm = itemgetter(*wp)(s.perm)
                     if perm in placed:
                         continue
                     placed.add(perm)
-                    beta, wcm = d.roots[j], w.cm
                     t = self._pool.get(perm)     # the simples are interned
                     if t is None:
-                        t = self._intern(perm, tuple(
-                            tuple(wcm[k][m] - av[k] * beta[m] for m in range(n))
-                            for k in range(n)))
+                        t = self._intern(perm)
                     t.length, t.word = depth, (i,) + w.word
                     new.append(t)
             frontier = new
@@ -223,22 +210,23 @@ class WeylGroup:
                 return w
             w = w * self.simples[j]
 
-    def _bits(self):
-        # bruhat_bits[v] has bit u set iff u <= v
-        if self._bruhat_bits is None:
-            lower = [[] for _ in self.elements]
-            for i, w in enumerate(self.elements):
-                for t in self.reflections:
-                    u = w * t
-                    if u.length == w.length - 1:
-                        lower[i].append(self.index[u])
-            # _generate lists the elements in increasing length
-            self._bruhat_bits, _ = closure_bits(range(len(lower)), lower)
-        return self._bruhat_bits
-
     def bruhat_leq(self, u, v):
-        bits = self._bits()
-        return bool(bits[self.index[v]] >> self.index[u] & 1)
+        """u <= v by the lifting property along v's word.
+
+        Each letter i of v's word is a left descent of what is left of v.
+        If it is one of u as well, then u <= v iff s_i u <= s_i v, and
+        otherwise u <= v iff u <= s_i v (Deodhar; Bjorner-Brenti, GTM 231,
+        Prop. 2.2.7).  Once the word is used up, v is the identity.
+        """
+        npos = self.datum.num_positive
+        rest = v.length
+        for i in v.word:
+            if u.length > rest:
+                return False
+            if u.perm.index(self.simple_idx[i]) >= npos:   # u^-1 alpha_i < 0
+                u = self.simples[i] * u
+            rest -= 1
+        return u is self.identity
 
     def inversions(self, w):
         d = self.datum

@@ -52,6 +52,59 @@ def affine_ball(name, radius):
     return elems, leq
 
 
+def _vertex(g, w):
+    return w if isinstance(w, int) else g.group.index[w]
+
+
+def all_shortest_paths(g, u, v):
+    """Every path of length d(u, v) in a QBG, as a list of edge lists."""
+    j = _vertex(g, v)
+    out = []
+
+    def extend(a, path):
+        if a == j:
+            out.append(list(path))
+            return
+        da = g.distance_and_weight(a, j)[0]
+        for e in g.out[a]:
+            if g.distance_and_weight(e.dst, j)[0] == da - 1:
+                path.append(e)
+                extend(e.dst, path)
+                path.pop()
+
+    extend(_vertex(g, u), [])
+    return out
+
+
+def paths_of_length(g, u, v, length):
+    """All u -> v paths of the given length in a QBG."""
+    j = _vertex(g, v)
+    out = []
+
+    def extend(a, path):
+        rest = length - len(path)
+        if rest == 0:
+            if a == j:
+                out.append(list(path))
+            return
+        if g.distance_and_weight(a, j)[0] > rest:
+            return
+        for e in g.out[a]:
+            path.append(e)
+            extend(e.dst, path)
+            path.pop()
+
+    extend(_vertex(g, u), [])
+    return out
+
+
+def path_weight(g, path):
+    w = (0,) * g.datum.rank
+    for e in path:
+        w = vec_add(w, e.weight)
+    return w
+
+
 def walk_weights_two_past_distance(g, u):
     """{v: weights of the u -> v walks with d(u, v) + 2 edges} in a QBG.
 
@@ -92,8 +145,8 @@ def check_longer_walks_weigh_more(g, oracle_max=24):
                 assert w != wt, (u, v)
                 assert d.in_coroot_cone(vec_sub(w, wt)), (u, v)
             if n <= oracle_max:
-                paths = g.paths_of_length(u, v, dist + 2)
-                assert {g.path_weight(p) for p in paths} == \
+                paths = paths_of_length(g, u, v, dist + 2)
+                assert {path_weight(g, p) for p in paths} == \
                     found.get(v, set()), (u, v)
 
 

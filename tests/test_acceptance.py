@@ -17,8 +17,9 @@ from admshell.admissible import canonical_K
 from admshell.affine import acute_presentations, simple_reflection
 from admshell.exact import vec_add, vec_sub
 from admshell.rootdata import AffineRoot
-from conftest import (affine_ball, check_longer_walks_weigh_more, datum,
-                      dominant_mus, matrix_entries, pipeline,
+from conftest import (affine_ball, all_shortest_paths,
+                      check_longer_walks_weigh_more, datum, dominant_mus,
+                      matrix_entries, path_weight, pipeline,
                       spherical_subsets)
 
 
@@ -150,8 +151,8 @@ def test_05_qbg_suite():
             for u in range(n):
                 for v in range(n):
                     dist, wt = g.distance_and_weight(u, v)
-                    paths = g.all_shortest_paths(u, v)
-                    assert {g.path_weight(p) for p in paths} == {wt}
+                    paths = all_shortest_paths(g, u, v)
+                    assert {path_weight(g, p) for p in paths} == {wt}
         # (c) zero weight exactly on Bruhat-comparable pairs
         for u in W:
             for v in W:
@@ -186,7 +187,7 @@ def test_06_downup_updown():
                 up = g.updown_path(u, v)
                 for path, pred in [(down, g.is_downup), (up, g.is_updown)]:
                     assert len(path) == dist
-                    assert g.path_weight(path) == wt
+                    assert path_weight(g, path) == wt
                     assert pred(path)
                     ends = [W.index[u]] + [e.dst for e in path]
                     assert [e.src for e in path] == ends[:-1]

@@ -5,7 +5,7 @@ import pytest
 from admshell import (AffineElement, InputError, PropertyViolation,
                       adm_membership, build_admissible, compute_sigma,
                       coxeter_subset, length_zero_rep, top_two_layer_report)
-from admshell.admissible import canonical_K, is_spherical
+from admshell.admissible import _unique_min, canonical_K, is_spherical
 from admshell.affine import (acute_presentations, affine_reflection,
                              bruhat_leq, simple_reflection)
 from admshell.cli import _parse_mu
@@ -158,6 +158,19 @@ def test_sigma_data_gl3(gl3_case):
     for w in poset.elements:
         sd = compute_sigma(poset, w)
         assert all(W.bruhat_leq(sd.z_min, z) for z in sd.sigma_w)
+
+
+def test_unique_min_least_element_and_failures():
+    d = datum("A2")
+    W = d.weyl_group()
+    s1, s2 = W.simple(0), W.simple(1)
+    w = AffineElement.from_finite(s1 * s2)
+    assert _unique_min(W, [s1, s1 * s2, s2 * s1], "S", w) is s1
+    # an empty set, and two minimal elements, each name the poset element
+    for elems in ([], [s1, s2]):
+        with pytest.raises(PropertyViolation) as err:
+            _unique_min(W, elems, "S", w)
+        assert str(err.value).startswith(w.name())
 
 
 def test_top_two_gl3(gl3_case):

@@ -6,7 +6,8 @@ import pytest
 
 from admshell import PropertyViolation
 from admshell.exact import vec_add, vec_sub
-from conftest import check_longer_walks_weigh_more, datum
+from conftest import (all_shortest_paths, check_longer_walks_weigh_more,
+                      datum, path_weight)
 
 
 def wgroup(name):
@@ -69,9 +70,9 @@ def test_all_shortest_paths():
     d = datum("A2")
     g = d.qbg()
     W = d.weyl_group()
-    assert g.all_shortest_paths(W.identity, W.identity) == [[]]
+    assert all_shortest_paths(g, W.identity, W.identity) == [[]]
     w0 = W.longest_element()
-    down = g.all_shortest_paths(w0, W.identity)
+    down = all_shortest_paths(g, w0, W.identity)
     assert any(len(p) == 1 for p in down)
     # shortest paths up to the longest element are the maximal Bruhat chains;
     # their count comes from an independent cover-walk oracle
@@ -83,7 +84,7 @@ def test_all_shortest_paths():
             return 1
         return sum(chains(x) for x in covers_up[w])
 
-    up = g.all_shortest_paths(W.identity, w0)
+    up = all_shortest_paths(g, W.identity, w0)
     assert len(up) == chains(W.identity) == 4
     for p in up:
         assert all(not e.quantum for e in p)
@@ -97,9 +98,9 @@ def test_weight_coherence_and_monotonicity():
         for u in W:
             for v in W:
                 dist, wt = g.distance_and_weight(u, v)
-                paths = g.all_shortest_paths(u, v)
+                paths = all_shortest_paths(g, u, v)
                 assert all(len(p) == dist for p in paths)
-                assert {g.path_weight(p) for p in paths} == {wt}
+                assert {path_weight(g, p) for p in paths} == {wt}
         # every walk of d+2 edges weighs more, checked against enumeration
         check_longer_walks_weigh_more(g)
 
@@ -129,7 +130,7 @@ def test_downup_and_updown_shapes():
                 for path, pred in [(g.downup_path(u, v), g.is_downup),
                                    (g.updown_path(u, v), g.is_updown)]:
                     assert len(path) == dist
-                    assert g.path_weight(path) == wt
+                    assert path_weight(g, path) == wt
                     assert pred(path)
                     assert W.elements[path[0].src] == u
                     assert W.elements[path[-1].dst] == v
@@ -151,7 +152,7 @@ def test_downup_matches_oracle_enumeration():
     W = d.weyl_group()
     s1, s2 = W.simple(0), W.simple(1)
     path = g.downup_path(s1, s2)
-    oracle = [p for p in g.all_shortest_paths(s1, s2) if g.is_downup(p)]
+    oracle = [p for p in all_shortest_paths(g, s1, s2) if g.is_downup(p)]
     assert oracle and path in oracle
 
 

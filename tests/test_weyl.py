@@ -176,21 +176,37 @@ def test_permutation_group_matches_matrix_reference(name):
     assert len(W) == len(R.elements)
     x = OFF_LATTICE_POINT[:d.rank]
     assert not d.is_root(x) and x not in d.coroots
+    units = [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
     pairs = list(zip(W.elements, R.elements))
     for w, r in pairs:
-        assert w.cm == r.cm
+        # the images of the unit coweights are the columns of r.cm
+        for e in units:
+            assert w.apply_coweight(e) == r.apply_coweight(e)
         assert W.index[w.inverse()] == R.index[r.inverse()]
         assert w.length == r.length
         assert w.word == r.word
         for a in d.roots:
             assert w.apply_weight(a) == r.apply_weight(a)
-        # a weight off the root list takes the matrix path
+        # a weight off the root list is acted on along the word
         assert w.apply_weight(x) == r.apply_weight(x)
         for lam in d.simple_coroots + (x,):
             assert w.apply_coweight(lam) == r.apply_coweight(lam)
     for u, ru in pairs:
         for v, rv in pairs:
             assert W.index[u * v] == R.index[ru * rv]
+
+
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_bruhat_matches_cover_closure_oracle(name):
+    # the reference closes the reflection covers into a table, from its own
+    # matrices and lengths; the lifting walk must agree on every pair
+    d = datum(name)
+    W = d.weyl_group()
+    R = MatrixWeylGroup(d)
+    pairs = list(zip(W.elements, R.elements))
+    for u, ru in pairs:
+        for v, rv in pairs:
+            assert W.bruhat_leq(u, v) == R.bruhat_leq(ru, rv), (u, v)
 
 
 def test_reflection_lookup_and_longest_element():

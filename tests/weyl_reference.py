@@ -4,8 +4,9 @@ This is the representation the library used before elements became
 permutations of the roots.  Products are matrix products, the length counts
 positive roots sent to negative ones by the weight matrix, the word is read
 off left descents of the weight matrix, and each length layer is sorted by
-that word.  It is kept as an independent oracle for ``admshell.weyl``;
-nothing in the library imports it.
+that word.  The Bruhat order is a table: the closure of the covers u = v t
+with t a reflection and l(u) = l(v) - 1.  It is kept as an independent
+oracle for ``admshell.weyl``; nothing in the library imports it.
 """
 
 
@@ -87,13 +88,8 @@ class MatrixWeylGroup:
                     for i in range(n))
         self.pool = {}
         self.identity = self.intern(eye, eye)
-        self.simples = []
-        for a, av in zip(datum.simple_roots, datum.simple_coroots):
-            wm = tuple(tuple((1 if i == j else 0) - a[i] * av[j]
-                             for j in range(n)) for i in range(n))
-            cm = tuple(tuple((1 if i == j else 0) - av[i] * a[j]
-                             for j in range(n)) for i in range(n))
-            self.simples.append(self.intern(wm, cm))
+        self.simples = [self.reflection(a, av) for a, av in
+                        zip(datum.simple_roots, datum.simple_coroots)]
         order, seen, frontier = [self.identity], {self.identity}, \
             [self.identity]
         while frontier:
@@ -109,6 +105,36 @@ class MatrixWeylGroup:
             frontier = new
         self.elements = tuple(order)
         self.index = {w: i for i, w in enumerate(self.elements)}
+        self._down = None
+
+    def reflection(self, a, av):
+        """s_a: x -> x - <a^vee, x> a on weights, lam -> lam - <lam, a> a^vee
+        on coweights."""
+        n = self.datum.rank
+        wm = tuple(tuple((1 if i == j else 0) - a[i] * av[j]
+                         for j in range(n)) for i in range(n))
+        cm = tuple(tuple((1 if i == j else 0) - av[i] * a[j]
+                         for j in range(n)) for i in range(n))
+        return self.intern(wm, cm)
+
+    def bruhat_leq(self, u, v):
+        if self._down is None:
+            d = self.datum
+            refl = [self.reflection(a, av) for a, av in
+                    zip(d.positive_roots, d.positive_coroots)]
+            length = [w.length for w in self.elements]
+            # down[i] has bit j set iff elements[j] <= elements[i]; the
+            # elements come in increasing length, so covers come first
+            down = []
+            for i, w in enumerate(self.elements):
+                bits = 1 << i
+                for t in refl:
+                    j = self.index[w * t]
+                    if length[j] == length[i] - 1:
+                        bits |= down[j]
+                down.append(bits)
+            self._down = down
+        return bool(self._down[self.index[v]] >> self.index[u] & 1)
 
     def intern(self, wm, cm):
         el = self.pool.get(wm)
