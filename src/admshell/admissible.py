@@ -9,7 +9,7 @@ through the full (unquotiented) admissible set, whose elements are kept in
 from collections import namedtuple
 
 from .errors import InputError, PropertyViolation
-from .exact import vec_add, vec_sub
+from .exact import vec_sub
 from .affine import (AffineElement, acute_presentation_K, affine_word,
                      covers_down)
 from .labeling import format_label, make_classifier
@@ -116,7 +116,7 @@ class AdmissiblePoset:
             lower[up].append(lo)
         # members are sorted by length and the formal top comes last
         self._down, _ = closure_bits(range(self.top + 1), lower)
-        self._coset_groups = None
+        self._wk_image = None
 
     def _verify_shape(self):
         n = len(self.elements)
@@ -149,14 +149,13 @@ class AdmissiblePoset:
     def tau(self):
         return self.elements[self.tau_id]
 
-    def coset_groups(self):
-        """The image of W_K in W_0 and W_J, as element lists, built once."""
-        if self._coset_groups is None:
+    def wk_image(self):
+        """The image of W_K in W_0, as an element list, built once."""
+        if self._wk_image is None:
             W = self.datum.weyl_group()
-            self._coset_groups = (
-                W.subgroup([W.reflection(ar.root) for ar in self.K]),
-                W.subgroup([W.simples[j] for j in self.J]))
-        return self._coset_groups
+            self._wk_image = W.subgroup([W.reflection(ar.root)
+                                         for ar in self.K])
+        return self._wk_image
 
     def translation_of(self, a):
         return AffineElement.translation_of(self.datum,
@@ -224,6 +223,12 @@ def _gateways(poset, w):
             if poset.leq_ids(i, m)]
 
 
+def double_coset_reps(poset, z):
+    """The elements of W^J in W_K z W_J, one per left coset p z W_J."""
+    W = poset.datum.weyl_group()
+    return {W.min_coset_rep(p * z, poset.J) for p in poset.wk_image()}
+
+
 def compute_sigma(poset, w):
     """Gateway data for one poset element: Sigma_w, z_min, a_min^K."""
     d = poset.datum
@@ -231,15 +236,14 @@ def compute_sigma(poset, w):
     qbg = d.qbg()
     pres = acute_presentation_K(w, poset.K)
     gap = vec_sub(poset.mu, pres.lam)
-    yinv = pres.y.inverse()
 
     sigma_w, reach = [], []
-    for z in W:
-        w1 = qbg.wt(pres.x, z)
-        if d.in_coroot_cone(vec_sub(gap, w1)):
+    for z, w1, w2 in zip(W.elements, qbg.weights(pres.x),
+                         qbg.weights(pres.y.inverse(), into=True)):
+        rest = vec_sub(gap, w1)
+        if d.in_coroot_cone(rest):
             reach.append(z)
-        _, w2 = qbg.distance_and_weight(z, yinv)
-        if d.in_coroot_cone(vec_sub(gap, vec_add(w1, w2))):
+        if d.in_coroot_cone(vec_sub(rest, w2)):
             sigma_w.append(z)
     z_min = _unique_min(W, reach, "{z : wt(x,z) <= mu - lam}", w)
     _require(z_min == _unique_min(W, sigma_w, "Sigma_w", w), w,
@@ -262,9 +266,7 @@ def compute_sigma(poset, w):
 
     brute = _unique_min(W, sigma_w_JK, "Sigma_w^{J,K}", w)
     _require(brute == a_min_K, w, "gateway loop disagrees with the brute minimum")
-    pr_WK, WJ_group = poset.coset_groups()
-    coset = {p * z_min * u for p in pr_WK for u in WJ_group}
-    hit = [b for b in coset if b in poset.WJK]
+    hit = [b for b in double_coset_reps(poset, z_min) if b in poset.WJK]
     _require(hit == [a_min_K], w, "double-coset characterization failed")
     return SigmaData(w=w, presentation=pres, sigma_w=sigma_w, z_min=z_min,
                      sigma_w_JK=sigma_w_JK, a_min_K=a_min_K)

@@ -2,9 +2,9 @@
 
 Root quantities are integers read from the datum's root table; only
 ``solve_linear`` builds ``Fraction``s, for values that are truly rational
-(coordinates in the fundamental coweights or in the simple coroots, and the
-separating coweight of the label order).  No floats anywhere, so root and
-coweight comparisons are exact.
+(fundamental-coweight coordinates, the label order's separating coweight, and
+the one inverse Cartan matrix per datum behind integer coroot coordinates).
+No floats anywhere, so root and coweight comparisons are exact.
 """
 
 from fractions import Fraction

@@ -3,8 +3,8 @@
 Vertices are the group elements; each (w, alpha) with alpha positive gives an
 upward edge w -> w*s_alpha when the length goes up by one (weight 0) and a
 downward edge when it drops by <alpha^vee, 2rho> - 1 (weight alpha^vee).
-Shortest-path weights are well defined; a down-up and an up-down shortest path
-are each found by one greedy walk over the shortest-path distances.
+Shortest-path weights are well defined, and one cached search gives them from a
+source or into a target; a greedy walk finds a down-up or an up-down path.
 """
 
 from collections import namedtuple
@@ -46,45 +46,52 @@ class QuantumBruhatGraph:
         for es in self.out:
             for e in es:
                 self.into[e.dst].append(e)
-        self._dist = [None] * n
-        self._wt = [None] * n
+        self._dist, self._wt = [None] * n, [None] * n
+        self._dist_into, self._wt_into = [None] * n, [None] * n
 
     def _idx(self, w):
         return w if isinstance(w, int) else self.group.index[w]
 
-    def _bfs(self, i):
+    def _bfs(self, i, into=False):
+        """d and wt from vertex i to every vertex, or into i over the in-edges."""
+        if into:
+            if self._dist_into[i] is None:
+                self._dist_into[i], self._wt_into[i] = self._search(
+                    i, self.into, 0)
+            return self._dist_into[i], self._wt_into[i]
         if self._dist[i] is None:
-            n = len(self.group)
-            zero = (0,) * self.datum.rank
-            dist = [None] * n
-            wt = [None] * n
-            dist[i], wt[i] = 0, zero
-            frontier = [i]
-            while frontier:
-                new = []
-                for a in frontier:
-                    da, wa = dist[a] + 1, wt[a]
-                    for e in self.out[a]:
-                        b = e.dst
-                        if dist[b] is None or dist[b] == da:
-                            # Bruhat edges carry the zero weight: only
-                            # quantum edges build a new tuple
-                            wb = wa if e.weight == zero else vec_add(
-                                wa, e.weight)
-                            if dist[b] is None:
-                                dist[b] = da
-                                wt[b] = wb
-                                new.append(b)
-                            # every shortest-path DAG edge must agree on it
-                            elif wb != wt[b]:
-                                raise PropertyViolation(
-                                    "shortest paths with different weights")
-                frontier = new
-            if any(d is None for d in dist):
-                raise PropertyViolation("quantum Bruhat graph is not connected")
-            self._dist[i] = dist
-            self._wt[i] = wt
+            self._dist[i], self._wt[i] = self._search(i, self.out, 1)
         return self._dist[i], self._wt[i]
+
+    def _search(self, i, edges, far):
+        """Breadth-first search from i; an Edge (src, dst, ...) leads to e[far]."""
+        n = len(self.group)
+        zero = (0,) * self.datum.rank
+        dist, wt = [None] * n, [None] * n
+        dist[i], wt[i] = 0, zero
+        frontier = [i]
+        while frontier:
+            new = []
+            for a in frontier:
+                da, wa = dist[a] + 1, wt[a]
+                for e in edges[a]:
+                    b = e[far]
+                    if dist[b] is None or dist[b] == da:
+                        # Bruhat edges carry the zero weight: only quantum
+                        # edges build a new tuple
+                        wb = wa if e.weight == zero else vec_add(wa, e.weight)
+                        if dist[b] is None:
+                            dist[b] = da
+                            wt[b] = wb
+                            new.append(b)
+                        # every shortest-path DAG edge must agree on it
+                        elif wb != wt[b]:
+                            raise PropertyViolation(
+                                "shortest paths with different weights")
+            frontier = new
+        if any(d is None for d in dist):
+            raise PropertyViolation("quantum Bruhat graph is not connected")
+        return dist, wt
 
     def distance_and_weight(self, u, v):
         dist, wt = self._bfs(self._idx(u))
@@ -93,6 +100,10 @@ class QuantumBruhatGraph:
 
     def wt(self, u, v):
         return self.distance_and_weight(u, v)[1]
+
+    def weights(self, v, into=False):
+        """wt(v, z) for every z in group order; wt(z, v) with into=True."""
+        return self._bfs(self._idx(v), into)[1]
 
     @staticmethod
     def is_downup(path):

@@ -11,6 +11,7 @@ negatives), with ``coroots`` and the integer simple-root coordinates
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .exact import dot, solve_linear, vec_neg, vec_sub
@@ -285,14 +286,28 @@ class RootDatum:
         return ar.level >= (0 if i < self.num_positive else 1)
 
     def coroot_coords(self, vec):
-        """Integer coordinates of vec in the simple coroots, or None."""
+        """Integer coordinates of vec in the simple coroots, or None: (A^T)^-1
+        of the pairings <vec, alpha_i>, if they add up to vec (off-span not)."""
         if len(vec) != self.rank:
             raise InputError(f"coweight {tuple(vec)} does not have "
                              f"{self.rank} coordinates")
-        coords = solve_linear(self.simple_coroots, vec)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        if not hasattr(self, "_coroot_inverse"):
+            # column k of (A^T)^-1 solves A^T x = e_k, alpha_k's own coords
+            cols = [solve_linear(self.cartan, self.simple_coords(a))
+                    for a in self.simple_roots]
+            den = lcm(*(x.denominator for col in cols for x in col))
+            self._coroot_inverse = den, [[int(den * x) for x in row]
+                                         for row in zip(*cols)]
+        den, inv = self._coroot_inverse
+        pairs = [dot(vec, a) for a in self.simple_roots]
+        sums = [dot(row, pairs) for row in inv]
+        if any(x % den for x in sums):
             return None
-        return tuple(int(c) for c in coords)
+        coords = tuple(x // den for x in sums)
+        if any(dot(coords, col) != v
+               for col, v in zip(zip(*self.simple_coroots), vec)):
+            return None
+        return coords
 
     def in_coroot_cone(self, vec):
         """Is vec a nonnegative integer combination of simple coroots?"""

@@ -221,9 +221,11 @@ class WeylGroup:
         npos = self.datum.num_positive
         rest = v.length
         for i in v.word:
+            if not u.length:                # the identity is below every v
+                return True
             if u.length > rest:
                 return False
-            if u.perm.index(self.simple_idx[i]) >= npos:   # u^-1 alpha_i < 0
+            if u.inverse().perm[self.simple_idx[i]] >= npos:  # u^-1 a_i < 0
                 u = self.simples[i] * u
             rest -= 1
         return u is self.identity

@@ -5,7 +5,8 @@ import pytest
 from admshell import (AffineElement, InputError, PropertyViolation,
                       adm_membership, build_admissible, compute_sigma,
                       coxeter_subset, length_zero_rep, top_two_layer_report)
-from admshell.admissible import _unique_min, canonical_K, is_spherical
+from admshell.admissible import (_unique_min, canonical_K, double_coset_reps,
+                                 is_spherical)
 from admshell.affine import (acute_presentations, affine_reflection,
                              bruhat_leq, simple_reflection)
 from admshell.cli import _parse_mu
@@ -238,6 +239,31 @@ def test_gateway_labels_match_the_reference_reflection_root():
             assert row["gateway_label"] == d.format_affine(ar)
             rows += 1
     assert len(posets) == 398 and rows == 1024
+
+
+def test_double_coset_reps_match_the_full_product_set():
+    # the W^J elements of W_K z W_J from |W_K| coset minima, against every
+    # product p z u with u in W_J; z runs over all of W, so over every z_min
+    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()
+              if name in ("GL3", "B2", "G2")]
+    for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
+                               ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
+        d = datum(name)
+        posets.append(build_admissible(d, _parse_mu(d, mu, basis),
+                                       K.split(",")))
+    seen = set()
+    for poset in posets:
+        key = (poset.datum.name, poset.J, poset.K)
+        if key in seen:
+            continue
+        seen.add(key)
+        W = poset.datum.weyl_group()
+        WJ_group = W.subgroup([W.simples[j] for j in poset.J])
+        WJ = set(poset.WJ)
+        for z in W:
+            full = {p * z * u for p in poset.wk_image() for u in WJ_group}
+            assert double_coset_reps(poset, z) == full & WJ, (key, z)
+    assert len(seen) == 65
 
 
 def test_coxeter_subset_membership_oracle():

@@ -203,6 +203,35 @@ def test_verify_check_full_runs_the_convexity_pass_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_check_full_fills_few_bfs_tables(capsys, monkeypatch):
+    # the gateway data need one search from each x and one into each y^-1
+    # of the acute presentations, the top-two report one from each z1: on
+    # D4-adjoint fw(1,0,0,0), K = a1,a3,a4, never one per group element
+    from admshell.affine import acute_presentation_K
+    posets = []
+    original = cli.label_edges
+
+    def keep_poset(poset, order):
+        posets.append(poset)
+        return original(poset, order)
+
+    monkeypatch.setattr(cli, "label_edges", keep_poset)
+    code, _, _ = run(capsys, "verify", "--datum", "D4-adjoint", "--mu",
+                     "1,0,0,0", "--mu-basis", "fw", "--K", "a1,a3,a4",
+                     "--check", "full", "--out", "json")
+    assert code == 0
+    (poset,) = posets
+    d = poset.datum
+    height = d.pairing(poset.mu, d.two_rho)
+    pres = {w: acute_presentation_K(w, poset.K) for w in poset.elements}
+    bound = (len({p.x for p in pres.values()})
+             + len({p.y.inverse() for p in pres.values()})
+             + len({p.x for w, p in pres.items() if w.length == height - 1}))
+    g = d.qbg()
+    filled = sum(t is not None for t in g._dist + g._dist_into)
+    assert 0 < filled <= bound < len(g.group)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "poset.json"
     code, out, _ = run(capsys, "adm", "--datum", "A1", "--mu", "1",

@@ -190,12 +190,28 @@ def tampered(name, edit):
     g.out = [list(es) for es in g.out]
     g._dist = [None] * len(g.out)
     g._wt = [None] * len(g.out)
+    g._dist_into = [None] * len(g.out)
+    g._wt_into = [None] * len(g.out)
     edit(g)
     g.into = [[] for _ in g.out]
     for es in g.out:
         for e in es:
             g.into[e.dst].append(e)
     return g
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "B3", "C3", "D4"])
+def test_reverse_search_matches_the_forward_tables(name):
+    d = datum(name)
+    g = d.qbg()
+    W = d.weyl_group()
+    for v in W:
+        dist, wt = g._bfs(W.index[v], into=True)
+        assert g.weights(v, into=True) is wt
+        assert [(dz, wz) for dz, wz in zip(dist, wt)] == \
+            [g.distance_and_weight(z, v) for z in W]
+    for u in W:
+        assert g.weights(u) == [g.wt(u, z) for z in W]
 
 
 def test_bfs_rejects_incoherent_shortest_path_weights():
@@ -210,9 +226,12 @@ def test_bfs_rejects_incoherent_shortest_path_weights():
         k = next(k for k, e in enumerate(g.out[a]) if e.dst == top)
         g.out[a][k] = g.out[a][k]._replace(weight=(1, 0))
 
-    with pytest.raises(PropertyViolation,
-                       match="shortest paths with different weights"):
-        tampered("A2", corrupt).distance_and_weight(W.identity, top)
+    # the search from the identity, and the reverse one into the top
+    for query in (lambda g: g.distance_and_weight(W.identity, top),
+                  lambda g: g.weights(top, into=True)):
+        with pytest.raises(PropertyViolation,
+                           match="shortest paths with different weights"):
+            query(tampered("A2", corrupt))
 
 
 def test_bfs_rejects_a_disconnected_graph():
@@ -223,8 +242,11 @@ def test_bfs_rejects_a_disconnected_graph():
     def drop(g):
         g.out[s] = [e for e in g.out[s] if e.dst != W.index[W.identity]]
 
-    with pytest.raises(PropertyViolation, match="not connected"):
-        tampered("A1", drop).distance_and_weight(s, s)
+    # nothing leads on from s, and nothing leads back into the identity
+    for query in (lambda g: g.distance_and_weight(s, s),
+                  lambda g: g.weights(W.identity, into=True)):
+        with pytest.raises(PropertyViolation, match="not connected"):
+            query(tampered("A1", drop))
 
 
 @pytest.mark.parametrize("src, dst, u, v, d, broken", [

@@ -184,8 +184,9 @@ def test_pair_table_rows_follow_the_root_list(name):
                 tuple(den * c for c in d.roots[g])
 
 
-# The coweight routes before RootDatum.coroot_coords: one exact solve in the
-# simple coroots, then an integrality (and, for the cone, a sign) test.
+# The coweight routes before RootDatum.coroot_coords used the inverse Cartan
+# matrix: one exact solve in the simple coroots, then an integrality (and, for
+# the cone, a sign) test.
 def reference_integer_coords(cols, target):
     x = solve_linear(cols, target)
     if x is None or any(v.denominator != 1 for v in x):
@@ -211,12 +212,22 @@ def reference_format_coweight(d, vec):
     return "".join(parts) if parts else "0"
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "A1xA1", "B3"])
+# Vectors in [-3, 3]^rank that lie in the span of the simple coroots but off
+# their lattice, and vectors off the span (the GL centre directions).
+OFF_LATTICE_OFF_SPAN = {"GL3": (0, 306), "D4-adjoint": (1764, 0)}
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3", "A1xA1", "B3",
+                                  "D4-adjoint"])
 def test_coroot_coords_match_the_solve_route(name):
     d = build_root_datum(name)
+    off_lattice = off_span = 0
     for vec in itertools.product(range(-3, 4), repeat=d.rank):
         coords = d.coroot_coords(vec)
         assert coords == reference_integer_coords(d.simple_coroots, vec)
+        x = solve_linear(d.simple_coroots, vec)
+        off_span += x is None
+        off_lattice += x is not None and coords is None
         if coords is not None:
             assert all(type(c) is int for c in coords)
             assert tuple(sum(c * av[k] for c, av in zip(coords,
@@ -227,6 +238,7 @@ def test_coroot_coords_match_the_solve_route(name):
         assert d.in_coroot_cone(vec) == d.in_coroot_cone(vec) == \
             (in_cone is not None)
         assert d.format_coweight(vec) == reference_format_coweight(d, vec)
+    assert (off_lattice, off_span) == OFF_LATTICE_OFF_SPAN.get(name, (0, 0))
 
 
 def test_wrong_length_coweights_are_input_errors():
