@@ -71,27 +71,19 @@ class AdmissiblePoset:
         self.J = tuple(i for i, a in enumerate(datum.simple_roots)
                        if datum.pairing(mu, a) == 0)
         self.WJ = W.min_coset_reps(self.J)
-        self.WJK = [a for a in self.WJ
-                    if all(datum.pairing(a.apply_coweight(mu), ar.root) <= 0
-                           for ar in K)]
+        extreme = [(a, self.translation_of(a)) for a in self.WJ]
+        gates = [(a, t) for a, t in extreme if t.is_min_rep(K)]
+        self.WJK = [a for a, _ in gates]
 
         # downward closure of the extreme translations = the full admissible set
-        maxima_full = [AffineElement.translation_of(datum, a.apply_coweight(mu))
-                       for a in self.WJ]
-        full_covers = {}
-        frontier = list(dict.fromkeys(maxima_full))
-        for w in frontier:
-            full_covers[w] = None
-        while frontier:
-            new = []
-            for w in frontier:
-                cov = covers_down(w)
-                full_covers[w] = cov
-                for u, _ in cov:
-                    if u not in full_covers:
-                        full_covers[u] = None
-                        new.append(u)
-            frontier = new
+        full_covers = dict.fromkeys(t for _, t in extreme)
+        queue = list(full_covers)
+        for w in queue:
+            full_covers[w] = covers_down(w)
+            for u, _ in full_covers[w]:
+                if u not in full_covers:
+                    full_covers[u] = None
+                    queue.append(u)
         self.full_elements = sorted(full_covers, key=lambda w: w.key())
 
         members = [w for w in self.full_elements if w.is_min_rep(K)]
@@ -105,8 +97,7 @@ class AdmissiblePoset:
                 j = self.index.get(u)
                 if j is not None:
                     self.covers.append((i, j, ar))
-        self.maximal_ids = [self.index[AffineElement.translation_of(
-            datum, a.apply_coweight(mu))] for a in self.WJK]
+        self.maximal_ids = [self.index[t] for _, t in gates]
         for m, a in zip(self.maximal_ids, self.WJK):
             self.covers.append((self.top, m, a))
         self.covers.sort(key=lambda c: (c[0], c[1]))

@@ -273,20 +273,12 @@ class LabelOrder:
         out = [f"convexity: {d.format_affine(_decode(d, c))} "
                f"not between {d.format_affine(self.roots[a])} "
                f"and {d.format_affine(self.roots[b])}" for a, b, c in bad]
-        seen2 = False
-        for ar in self.roots:
-            if cls[ar] == 2:
-                seen2 = True
-            elif seen2:
-                out.append(f"separation: class-1 root {d.format_affine(ar)} "
-                           "after a class-2 root")
-        seen_out = False
-        for ar in self.roots:
-            if ar not in self.phi_K:
-                seen_out = True
-            elif seen_out:
-                out.append(f"K-compatibility: {d.format_affine(ar)} after a root "
-                           "outside the K-subsystem")
+        late = defect(self.roots, {ar for ar in self.roots if cls[ar] == 1})
+        out += [f"separation: class-1 root {d.format_affine(ar)} "
+                "after a class-2 root" for ar in self.roots if ar in late]
+        late = defect(self.roots, self.phi_K)
+        out += [f"K-compatibility: {d.format_affine(ar)} after a root "
+                "outside the K-subsystem" for ar in self.roots if ar in late]
         for ar in self.phi_K:
             if ar in cls and cls[ar] != 1:
                 out.append(f"classification: {d.format_affine(ar)} in the "
@@ -320,7 +312,7 @@ class LabelOrder:
 
 
 def defect(order_list, phi_K):
-    """K-subsystem roots preceded by an outsider."""
+    """Members of phi_K (the K-subsystem, or any set) after an outsider."""
     out = set()
     seen_outsider = False
     for ar in order_list:
@@ -402,12 +394,13 @@ def build_label_order(poset):
     seeds = {ar for up, _, ar in poset.covers if up != poset.top}
     S, cap, capped = relevant_closure(datum, K, seeds, phi_K)
     classify = make_classifier(datum, K, phi_K)
+    cls = {ar: classify(ar) for ar in S}
     Jp = finite_subsystem_indices(datum, K)
     P, D = _separating_vector(datum, Jp, cap)
     key = _order_keys(datum, S, P, D)
     for ar in S:
         # M // H > 0, so the leading entry has the sign of <v, root> + level
-        if (key[ar][0] < 0) != (classify(ar) == 1):
+        if (key[ar][0] < 0) != (cls[ar] == 1):
             raise PropertyViolation(
                 f"separating functional misclassifies {datum.format_affine(ar)}")
 
@@ -416,22 +409,18 @@ def build_label_order(poset):
         if key[x] == key[y]:
             raise PropertyViolation("tied sort keys in the label order")
 
-    guard = len(S) * len(S) + 1
-    while True:
-        D = defect(ordered, phi_K)
-        if not D:
-            break
-        guard -= 1
-        if guard < 0:
-            raise PropertyViolation("defect repair failed to terminate")
-        s_root = next((ar for ar in K if ar in D), None)
+    # each step must shrink the defect set, so the loop ends
+    bad = defect(ordered, phi_K)
+    while bad:
+        s_root = next((ar for ar in K if ar in bad), None)
         if s_root is None:
             raise PropertyViolation("defect set contains no simple K-root")
         ordered = repair_step(datum, K, ordered, s_root)
-        if len(defect(ordered, phi_K)) >= len(D):
+        bad, before = defect(ordered, phi_K), bad
+        if len(bad) >= len(before):
             raise PropertyViolation("defect repair did not shrink the defect")
 
-    n1 = sum(1 for ar in ordered if classify(ar) == 1)
+    n1 = sum(1 for ar in ordered if cls[ar] == 1)
     order = LabelOrder(datum, K, ordered[:n1] + poset.WJK + ordered[n1:],
                        capped=capped)
     order.check()

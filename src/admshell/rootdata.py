@@ -390,38 +390,24 @@ class RootDatum:
             return "(" + ",".join(str(c) for c in vec) + ")"
         return _format_coords(coords, "^")
 
-    def affine_token(self, ar):
-        """CLI token of a simple affine root: a1..an, a0 (a0.c for products)."""
-        simples = self.simple_affine_roots()
-        idx = simples.index(ar)
+    def _affine_token(self, idx):
         if idx < self.nsimple:
             return f"a{idx + 1}"
         c = idx - self.nsimple
         return "a0" if len(self.components) == 1 else f"a0.{c + 1}"
 
+    def affine_token(self, ar):
+        """CLI token of a simple affine root: a1..an, a0 (a0.c for products)."""
+        return self._affine_token(self.simple_affine_roots().index(ar))
+
     def parse_affine_token(self, token):
-        simples = self.simple_affine_roots()
+        """The simple affine root whose ``affine_token`` is the stripped token."""
         token = token.strip()
-        if token.startswith("a0"):
-            if token == "a0":
-                if len(self.components) != 1:
-                    raise InputError("a0 is ambiguous for products; use a0.<k>")
-                return simples[self.nsimple]
-            try:
-                c = int(token.split(".", 1)[1])
-            except (IndexError, ValueError):
-                raise InputError(f"bad affine-root token {token!r}") from None
-            if not 1 <= c <= len(self.components):
-                raise InputError(f"component out of range in {token!r}")
-            return simples[self.nsimple + c - 1]
-        if token.startswith("a"):
-            try:
-                i = int(token[1:])
-            except ValueError:
-                raise InputError(f"bad affine-root token {token!r}") from None
-            if not 1 <= i <= self.nsimple:
-                raise InputError(f"simple-root index out of range in {token!r}")
-            return simples[i - 1]
+        if token == "a0" and len(self.components) != 1:
+            raise InputError("a0 is ambiguous for products; use a0.<k>")
+        for idx, ar in enumerate(self.simple_affine_roots()):
+            if self._affine_token(idx) == token:
+                return ar
         raise InputError(f"bad affine-root token {token!r}")
 
     def __repr__(self):
@@ -486,12 +472,15 @@ def build_root_datum(spec):
     if not isinstance(spec, str):
         raise InputError(f"cannot build a root datum from {spec!r}")
     name = spec.strip()
-    if "x" in name:
-        parts = name.split("x")
-        datum = build_root_datum(parts[0])
-        for p in parts[1:]:
-            datum = _product(datum, build_root_datum(p), name)
-        return datum
+    factors = [_preset(part.strip(), spec) for part in name.split("x")]
+    datum = factors[0]
+    for factor in factors[1:]:
+        datum = _product(datum, factor, name)
+    return datum
+
+
+def _preset(name, spec):
+    """One preset factor of the spec string; errors name the whole spec."""
     base, _, variant = name.partition("-")
     adjoint = variant == "adjoint"
     if variant not in ("", "adjoint"):

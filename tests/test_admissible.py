@@ -8,7 +8,7 @@ from admshell import (AffineElement, InputError, PropertyViolation,
 from admshell.admissible import (_unique_min, canonical_K, double_coset_reps,
                                  is_spherical)
 from admshell.affine import (acute_presentations, affine_reflection,
-                             bruhat_leq, simple_reflection)
+                             bruhat_leq, covers_down, simple_reflection)
 from admshell.cli import _parse_mu
 from admshell.rootdata import AffineRoot
 from conftest import (affine_ball, datum, dominant_mus, matrix_entries,
@@ -90,6 +90,53 @@ def test_shape_invariants_across_small_matrix():
                          for ar in poset.K)]
         assert set(poset.WJK) == set(expect)
         assert len(poset.maximal_ids) == len(expect)
+
+
+# The extreme-translation bookkeeping of AdmissiblePoset before it read
+# K-minimality off the translations: W^{J,K} by the pairing criterion
+# <a(mu), alpha> <= 0 for every alpha in K, each translation rebuilt from
+# AffineElement.translation_of, and the descent as a frontier loop.
+def reference_extremes(poset):
+    d, mu = poset.datum, poset.mu
+    WJK = [a for a in poset.WJ
+           if all(d.pairing(a.apply_coweight(mu), ar.root) <= 0
+                  for ar in poset.K)]
+    maximal_ids = [poset.index[AffineElement.translation_of(
+        d, a.apply_coweight(mu))] for a in WJK]
+    return WJK, maximal_ids
+
+
+def reference_full_elements(poset):
+    d, mu = poset.datum, poset.mu
+    frontier = list(dict.fromkeys(AffineElement.translation_of(
+        d, a.apply_coweight(mu)) for a in poset.WJ))
+    seen = set(frontier)
+    while frontier:
+        new = []
+        for w in frontier:
+            for u, _ in covers_down(w):
+                if u not in seen:
+                    seen.add(u)
+                    new.append(u)
+        frontier = new
+    return sorted(seen, key=lambda w: w.key())
+
+
+def test_extremes_match_the_pairing_criterion():
+    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()]
+    for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
+                               ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
+        d = datum(name)
+        posets.append(build_admissible(d, _parse_mu(d, mu, basis),
+                                       K.split(",")))
+    full = {}
+    for poset in posets:
+        assert (poset.WJK, poset.maximal_ids) == reference_extremes(poset)
+        key = (poset.datum.name, poset.mu)
+        if key not in full:
+            full[key] = reference_full_elements(poset)
+        assert poset.full_elements == full[key]
+    assert len(posets) == 398 and len(full) == 60
 
 
 def test_spherical_check():

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+from admshell import labeling
 from admshell import (InputError, LabelOrder, PropertyViolation,
                       build_admissible, build_label_order, build_root_datum,
                       label_edges, make_classifier, repair_step,
@@ -132,10 +133,19 @@ def gl3_scrambled(poset):
     return LabelOrder(d, poset.K, scrambled)
 
 
+def gl3_swapped(poset):
+    d = poset.datum
+    a1, a2 = d.simple_roots
+    theta = d.components[0][1]
+    eta0, eta1 = poset.WJK
+    swapped = [AffineRoot(neg(a2), 1), eta1, AffineRoot(neg(theta), 1), eta0,
+               AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
+    return LabelOrder(d, poset.K, swapped)
+
+
 def test_scrambled_order_fails_checker(gl3_case):
     poset, _, _ = gl3_case
     d = poset.datum
-    a1, a2 = d.simple_roots
     theta = d.components[0][1]
     order = gl3_scrambled(poset)
     assert order.violations()
@@ -143,11 +153,9 @@ def test_scrambled_order_fails_checker(gl3_case):
         order.check()
     # one eta moved in front of a class-1 root, and the etas swapped: the
     # messages name both labels and both etas
-    eta0, eta1 = poset.WJK
+    eta1 = poset.WJK[1]
     late = AffineRoot(neg(theta), 1)
-    swapped = [AffineRoot(neg(a2), 1), eta1, late, eta0,
-               AffineRoot(neg(a1), 1), AffineRoot(a2, 0)]
-    bad = LabelOrder(d, poset.K, swapped).violations()
+    bad = gl3_swapped(poset).violations()
     sandwich = [m for m in bad if m.startswith("sandwich")]
     assert sandwich == [f"sandwich: class-1 root {format_label(d, late)} "
                         f"after top-edge label {format_label(d, eta1)}"]
@@ -485,7 +493,12 @@ def test_closure_matches_reference_on_one_sided_seeds(name):
 
 
 def test_violations_match_reference_on_scrambled_orders(gl3_case):
-    orders = [gl3_scrambled(gl3_case[0])]
+    orders = [gl3_scrambled(gl3_case[0]), gl3_swapped(gl3_case[0])]
+    # the seed of test_repair_step_a1: (a1,0) after the outsider (-a1,1)
+    d = datum("A1")
+    a, = d.simple_roots
+    orders.append(LabelOrder(d, canonical_K(d, ["a1"]), [
+        AffineRoot(neg(a), 1), AffineRoot(a, 0), AffineRoot(a, 1)]))
     for name, mu, K in [("A2", (1, 1), ()), ("B2", (1, 1), ()),
                         ("A2", (2, 1), ("a1",)), ("B2", (1, 1), ("a2",))]:
         d = datum(name)
@@ -500,13 +513,83 @@ def test_violations_match_reference_on_scrambled_orders(gl3_case):
                 swapped[i], swapped[j] = swapped[j], swapped[i]
             orders.append(LabelOrder(d, poset.K, swapped))
     fired = 0
+    kinds = set()
     for order in orders:
         got = order.violations()
         convex = reference_convexity(order)
         assert got == convex + [m for m in got
                                 if not m.startswith("convexity")]
         fired += bool(convex)
+        prefix = [m for m in got
+                  if m.startswith(("separation", "K-compatibility"))]
+        assert prefix == reference_prefix_messages(order)
+        kinds.update(m.split(":")[0] for m in prefix)
     assert fired >= len(orders) // 2
+    assert kinds == {"separation", "K-compatibility"}
+
+
+# The separation and K-compatibility scans of LabelOrder.violations before
+# they read their roots off defect(): one pass over the roots each.
+def reference_prefix_messages(order):
+    d, cls = order.datum, order.root_class
+    out = []
+    seen2 = False
+    for ar in order.roots:
+        if cls[ar] == 2:
+            seen2 = True
+        elif seen2:
+            out.append(f"separation: class-1 root {d.format_affine(ar)} "
+                       "after a class-2 root")
+    seen_out = False
+    for ar in order.roots:
+        if ar not in order.phi_K:
+            seen_out = True
+        elif seen_out:
+            out.append(f"K-compatibility: {d.format_affine(ar)} after a root "
+                       "outside the K-subsystem")
+    return out
+
+
+def repair_case():
+    # A3 with K = {a1, a2}: the sorted relevant roots put all three roots
+    # of the K-subsystem after an outsider, so the repair loop has to run
+    d = datum("A3")
+    poset = build_admissible(d, (1, 1, 1), canonical_K(d, ["a1", "a2"]))
+    phi_K = subsystem_positive(d, poset.K)
+    assert len(phi_K) == 3
+    return poset, phi_K
+
+
+def test_repair_loop_stops_when_a_step_does_not_shrink(monkeypatch):
+    poset, phi_K = repair_case()
+    calls = []
+
+    def unchanged(datum, K, order_list, s_root):
+        calls.append(len(defect(order_list, phi_K)))
+        return list(order_list)
+
+    monkeypatch.setattr(labeling, "repair_step", unchanged)
+    with pytest.raises(PropertyViolation, match="did not shrink the defect"):
+        build_label_order(poset)
+    assert calls == [3]
+
+
+def test_repair_loop_needs_a_simple_K_root_in_the_defect(monkeypatch):
+    poset, phi_K = repair_case()
+    late, = [ar for ar in phi_K if ar not in poset.K]
+    calls = []
+
+    def sink_the_sum(datum, K, order_list, s_root):
+        # the simple K-roots first, the K-root a1 + a2 after every outsider
+        calls.append(len(defect(order_list, phi_K)))
+        inside = [ar for ar in order_list if ar in phi_K and ar != late]
+        return inside + [ar for ar in order_list if ar not in phi_K] + [late]
+
+    monkeypatch.setattr(labeling, "repair_step", sink_the_sum)
+    with pytest.raises(PropertyViolation,
+                       match="defect set contains no simple K-root"):
+        build_label_order(poset)
+    assert calls == [3]
 
 
 def test_violations_through_same_root_pairs_only():

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from admshell import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
@@ -52,6 +54,24 @@ def test_span_attribute_functions_read_the_gl3_pipeline(gl3_case):
         "relevant_roots": 21, "capped": 18}
     assert spans._dual_el_counts((lp,), lp.verify_dual_el()) == {
         "intervals_checked": 12}
+
+
+def test_traced_check_full_records_the_gateway_spans(capsys):
+    # cli.cmd_verify imports compute_sigma and top_two_layer_report when it
+    # runs; a module-level import in cli would bind the functions the tracer
+    # has not wrapped, and these spans would silently go missing
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--datum", "GL3", "--mu", "1,0,0",
+                         "--K", "a1", "--check", "full"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and '"top_two"' in capsys.readouterr().out
+    names = {span[0] for span in tracer.spans}
+    assert {"admissible.compute_sigma",
+            "admissible.top_two_layer_report"} <= names
 
 
 def test_determinism_script_passes():

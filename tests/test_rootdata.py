@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -263,3 +264,48 @@ def test_non_integer_affine_root_level_is_an_input_error(level):
     assert AffineRoot(a, 0).level == 0
     with pytest.raises(InputError, match="level must be an integer"):
         AffineRoot(a, level)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX) + ["A4", "D4-adjoint", "B3",
+                                                   "A1xA1xA1", "A1xGL2"])
+def test_affine_tokens_round_trip(name):
+    d = build_root_datum(name)
+    simples = d.simple_affine_roots()
+    tokens = [d.affine_token(ar) for ar in simples]
+    assert len(set(tokens)) == len(simples)
+    for ar, tok in zip(simples, tokens):
+        assert d.parse_affine_token(tok) == ar
+        assert d.parse_affine_token(f" {tok} ") == ar
+    if len(d.components) == 1:
+        assert tokens[-1] == "a0"
+    else:
+        assert tokens[d.nsimple:] == [f"a0.{c + 1}"
+                                      for c in range(len(d.components))]
+
+
+@pytest.mark.parametrize("name, token", [
+    # accepted by the former integer-reading parser, now not printed forms
+    ("A2", "a0.1"), ("A2", "a+1"), ("A2", "a 1"), ("A2", "a01"),
+    ("A2", "a0.01"), ("A1xA1", "a0.01"), ("A1xA1", "a0.+1"),
+    # never accepted
+    ("A2", "a3"), ("A2", "a-1"), ("A2", "b1"), ("A2", ""), ("A1xA1", "a0.3"),
+    ("A1xA1", "a0.0"),
+])
+def test_affine_tokens_outside_the_printed_set_are_rejected(name, token):
+    d = build_root_datum(name)
+    with pytest.raises(InputError, match=re.escape(
+            f"bad affine-root token {token.strip()!r}")):
+        d.parse_affine_token(token)
+
+
+def test_a0_is_ambiguous_for_products():
+    d = build_root_datum("A1xA1")
+    with pytest.raises(InputError, match="a0 is ambiguous for products"):
+        d.parse_affine_token(" a0 ")
+
+
+@pytest.mark.parametrize("spec", ["x", "A1x", "xA1", "A1xx", "A1xFoo",
+                                  " A1xx "])
+def test_bad_product_factor_names_the_whole_spec(spec):
+    with pytest.raises(InputError, match=re.escape(f"unknown preset {spec!r}")):
+        build_root_datum(spec)
