@@ -9,10 +9,9 @@ from functools import lru_cache
 
 import pytest
 
-from admshell import labeling
 from admshell import (InputError, LabelOrder, PropertyViolation,
                       build_admissible, build_label_order, build_root_datum,
-                      label_edges, make_classifier, repair_step,
+                      label_edges, labeling, make_classifier, repair_step,
                       subsystem_positive)
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
