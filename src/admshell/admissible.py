@@ -7,6 +7,7 @@ through the full (unquotiented) admissible set, whose elements are kept in
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import InputError, PropertyViolation
 from .exact import vec_sub
@@ -102,11 +103,6 @@ class AdmissiblePoset:
             self.covers.append((self.top, m, a))
         self.covers.sort(key=lambda c: (c[0], c[1]))
         self._verify_shape()
-        lower = [[] for _ in range(self.top + 1)]
-        for up, lo, _ in self.covers:
-            lower[up].append(lo)
-        # members are sorted by length and the formal top comes last
-        self._down, _ = closure_bits(range(self.top + 1), lower)
         self._wk_image = None
 
     def _verify_shape(self):
@@ -133,6 +129,15 @@ class AdmissiblePoset:
                 raise PropertyViolation("extreme translation of wrong length")
 
     # -- order queries -------------------------------------------------------
+
+    @cached_property
+    def _down(self):
+        """Down-set bitsets, built on the first order query (members are
+        sorted by length and the formal top comes last)."""
+        lower = [[] for _ in range(self.top + 1)]
+        for up, lo, _ in self.covers:
+            lower[up].append(lo)
+        return closure_bits(range(self.top + 1), lower)
 
     def leq_ids(self, i, j):
         return bool(self._down[j] >> i & 1)
@@ -237,8 +242,8 @@ def compute_sigma(poset, w):
         if d.in_coroot_cone(vec_sub(rest, w2)):
             sigma_w.append(z)
     z_min = _unique_min(W, reach, "{z : wt(x,z) <= mu - lam}", w)
-    _require(z_min == _unique_min(W, sigma_w, "Sigma_w", w), w,
-             "minimum of Sigma_w differs from z_min")
+    # QBG weights lie in the coroot cone, so Sigma_w is inside reach
+    _require(z_min in sigma_w, w, "Sigma_w does not contain z_min")
 
     sigma_w_JK = _gateways(poset, w)
     _require(sigma_w_JK, w, "poset element below no extreme translation")

@@ -150,11 +150,6 @@ def covers_down(w):
     return out
 
 
-def right_ascent(w, ar):
-    """True iff w * s_ar > w (equivalently w(ar) is positive)."""
-    return w.datum.is_positive_affine(w.act(ar))
-
-
 def _descend(w):
     """(tau, letters): w = s_i1 ... s_ik tau, least left descent first."""
     d = w.datum

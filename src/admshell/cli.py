@@ -290,19 +290,18 @@ SUBCOMMANDS = {
 
 
 def make_parser(command=None):
-    """The argument parser.  Every subcommand is registered, so usage text
-    and help list them all; when ``command`` names one, only its arguments
-    are added, since argparse never looks at the others."""
+    """The argument parser: only a named ``command`` is registered, as
+    argparse reads no other (the metavar keeps the usage line), else all."""
     p = argparse.ArgumentParser(
         prog="admshell",
         description="admissible sets, quantum Bruhat graphs, and shellability "
                     "verification")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, fn, add_args) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        if command not in SUBCOMMANDS or command == name:
-            add_args(sp)
-        sp.set_defaults(fn=fn)
+    named = command in SUBCOMMANDS
+    sub = p.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(SUBCOMMANDS) + "}" if named else None))
+    for name in [command] if named else SUBCOMMANDS:
+        help_text, _, add_args = SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -316,7 +315,7 @@ def main(argv=None):
                 args.datum = json.loads(args.datum)
             except json.JSONDecodeError as exc:
                 raise InputError(f"--datum is not valid JSON: {exc}") from None
-        return args.fn(args)
+        return SUBCOMMANDS[args.command][1](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 Works on plain integer ids so it can host both the admissible posets and
 hand-built fixtures.  The dual-EL check makes one pass over the elements in
 increasing length that covers every bottom u at once: bit u of a Python int
-stands for u, as in the down- and up-set bitsets.  Each down-edge of v gets
+stands for u, as in the down-set bitsets.  Each down-edge of v gets
 the bottoms u with at least one and with at least two weakly increasing
 maximal chains of [u, v] through it, and v gets the bottoms whose greedy
 (lexicographically least) chain of [u, v] is increasing.
@@ -39,7 +39,7 @@ class LabeledPoset:
         for i in range(n):
             self.down_adj[i].sort(key=lambda t: t[1])
         self._check_shape()
-        self.down, self.up = closure_bits(
+        self.down = closure_bits(
             sorted(range(n), key=lambda i: self.lengths[i]),
             [[lo for lo, _, _ in adj] for adj in self.down_adj])
 
@@ -85,7 +85,7 @@ class LabeledPoset:
         return out
 
     def _chain_counts(self, u, mask):
-        """{v: edges} for v != u in mask (a subset of up[u]) in increasing
+        """{v: edges} for v != u in mask (a set of v >= u) in increasing
         length; edges are v's down-edges (lo, rank, label, n) into mask, and n
         counts the weakly increasing maximal chains of [u, v] through it.
 
@@ -161,7 +161,7 @@ class LabeledPoset:
             below = table
         violations = []
         for u in sorted(failing):
-            table = self._chain_counts(u, self.up[u])
+            table = self._chain_counts(u, up_set(down, u))
             for v in sorted(failing[u]):
                 c = sum(e[3] for e in table[v])
                 if c != 1:
@@ -194,7 +194,7 @@ class LabeledPoset:
             return [top_edge]
         if not self.leq(w, gateway):
             raise InputError("element does not sit below the gateway")
-        table = self._chain_counts(w, self.up[w] & self.down[gateway])
+        table = self._chain_counts(w, up_set(self.down, w) & self.down[gateway])
         c = sum(e[3] for e in table[gateway])
         if c != 1:
             raise PropertyViolation(
@@ -353,20 +353,21 @@ class LabeledPoset:
 
 
 def closure_bits(order, lower):
-    """Down- and up-set bitsets of a graded poset, from its covers.
+    """Down-set bitsets of a graded poset, from its covers.
 
     order lists every id in increasing length; lower[i] lists the lower covers
-    of i.  Bit j of down[i] is set iff j <= i, bit j of up[i] iff i <= j.
+    of i.  Bit j of down[i] is set iff j <= i.
     """
     down = [1 << i for i in range(len(lower))]
-    up = list(down)
     for i in order:
         for j in lower[i]:
             down[i] |= down[j]
-    for i in reversed(order):
-        for j in lower[i]:
-            up[j] |= up[i]
-    return down, up
+    return down
+
+
+def up_set(down, u):
+    """Bitset of the v >= u, read off the down-sets: bit u of down[v]."""
+    return sum(1 << v for v, d in enumerate(down) if d >> u & 1)
 
 
 def _bits_iter(mask):

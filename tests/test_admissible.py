@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from admshell import (AffineElement, InputError, PropertyViolation,
-                      adm_membership, build_admissible, compute_sigma,
-                      coxeter_subset, length_zero_rep, top_two_layer_report)
+                      adm_membership, admissible, build_admissible,
+                      build_label_order, compute_sigma, coxeter_subset,
+                      label_edges, length_zero_rep, top_two_layer_report)
 from admshell.admissible import (_unique_min, canonical_K, double_coset_reps,
                                  is_spherical)
 from admshell.affine import (acute_presentations, affine_reflection,
@@ -122,13 +123,20 @@ def reference_full_elements(poset):
     return sorted(seen, key=lambda w: w.key())
 
 
-def test_extremes_match_the_pairing_criterion():
-    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()]
+def parahoric_full_posets():
+    """The two rows of the parahoric-full benchmark workload, built fresh."""
+    posets = []
     for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
                                ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
         d = datum(name)
         posets.append(build_admissible(d, _parse_mu(d, mu, basis),
                                        K.split(",")))
+    return posets
+
+
+def test_extremes_match_the_pairing_criterion():
+    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()]
+    posets += parahoric_full_posets()
     full = {}
     for poset in posets:
         assert (poset.WJK, poset.maximal_ids) == reference_extremes(poset)
@@ -137,6 +145,36 @@ def test_extremes_match_the_pairing_criterion():
             full[key] = reference_full_elements(poset)
         assert poset.full_elements == full[key]
     assert len(posets) == 398 and len(full) == 60
+
+
+def test_leq_ids_matches_the_labeled_poset_order():
+    cases = [pipeline(name, mu, K)[::2] for name, mu, K in matrix_entries()]
+    for poset in parahoric_full_posets():
+        cases.append((poset, label_edges(poset, build_label_order(poset))))
+    for poset, lp in cases:
+        ids = range(poset.top + 1)
+        assert all(poset.leq_ids(i, j) == lp.leq(i, j)
+                   for i in ids for j in ids)
+    assert len(cases) == 398
+
+
+def test_fast_pipeline_leaves_the_admissible_closure_unbuilt(monkeypatch):
+    # only --check full and cox ask the admissible poset for its order
+    built = []
+    closure_bits = admissible.closure_bits
+    monkeypatch.setattr(admissible, "closure_bits",
+                        lambda *a: built.append(a) or closure_bits(*a))
+    posets = parahoric_full_posets()
+    posets.append(build_admissible(datum("GL3"), (1, 0, 0), ["a1"]))
+    for poset in posets:
+        lp = label_edges(poset, build_label_order(poset))
+        assert lp.verify_dual_el()["status"] == "PASS"
+        assert lp.ncm_check() and lp.recursive_coatom_check()[0]
+        assert not built
+        assert poset.leq_ids(poset.tau_id, poset.top)
+        assert poset.leq_ids(poset.maximal_ids[0], poset.top)
+        assert len(built) == 1
+        built.clear()
 
 
 def test_spherical_check():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admshell import cli
+from admshell import admissible, cli
 from admshell.cli import main
 
 
@@ -382,16 +382,46 @@ def test_unknown_or_missing_command_is_a_usage_error(capsys, argv):
         assert "invalid choice: 'bogus'" in err
 
 
+def parse_outcome(parser, argv):
+    """(exit code, stdout, stderr, parsed arguments) of parser.parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    code, args = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
 @pytest.mark.parametrize("argv", [
     [*GL3_VERIFY, "--check", "full"],
     ["adm", "--datum", "GL3", "--mu", "1,0,0", "--out", "dot"],
     ["qbg", "--datum", "A2", "--downup", "s1", "e"],
     ["cox", "--datum", "A2", "--mu", "1,1", "--sigma", "0,2,1"],
     ["shell-order", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1"],
+    [*GL3_VERIFY, "junk"], ["verify"], ["verify", "-h"], ["-h"], ["bogus"], [],
 ])
 def test_parser_for_one_subcommand_parses_as_the_full_one(argv):
-    args = cli.make_parser(argv[0]).parse_args(argv)
-    assert vars(args) == vars(cli.make_parser().parse_args(argv))
+    # make_parser() registers every subcommand with its arguments; the
+    # usage and help texts of errors and -h must keep their bytes
+    got = parse_outcome(cli.make_parser(argv[0] if argv else None), argv)
+    assert got == parse_outcome(cli.make_parser(), argv)
+    assert (got[3] is None) == (got[0] != 0 or "-h" in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    GL3_VERIFY,
+    ("adm", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1", "--out", "json"),
+    ("shell-order", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1"),
+])
+def test_fast_commands_build_no_admissible_closure(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("admissible closure built")
+
+    monkeypatch.setattr(admissible, "closure_bits", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
 
 
 def test_verify_ideal_with_check_full_exits_2(capsys):
@@ -472,7 +502,6 @@ def test_cli_bytes_independent_of_hash_seed():
 
 
 def test_full_check_failure_names_the_element(capsys, monkeypatch):
-    from admshell import admissible
     from conftest import datum
 
     poset = admissible.build_admissible(datum("GL3"), (1, 0, 0), ["a1"])

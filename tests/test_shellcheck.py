@@ -12,7 +12,7 @@ from admshell import (InputError, LabelOrder, PropertyViolation,
 from admshell.admissible import canonical_K
 from admshell.cli import _parse_K, _parse_mu
 from admshell.rootdata import AffineRoot
-from admshell.shellcheck import LabeledPoset, closure_bits
+from admshell.shellcheck import LabeledPoset, closure_bits, up_set
 from conftest import datum, matrix_entries, pipeline
 
 
@@ -47,18 +47,21 @@ def graded_covers(draw):
 @given(graded_covers())
 def test_closure_bits_is_reachability(case):
     order, lower = case
-    down, up = closure_bits(order, lower)
+    down = closure_bits(order, lower)
     n = len(lower)
+    upper = [[] for _ in range(n)]
     for i in range(n):
-        below, stack = {i}, [i]
-        while stack:
-            for j in lower[stack.pop()]:
-                if j not in below:
-                    below.add(j)
-                    stack.append(j)
-        assert down[i] == sum(1 << j for j in below)
-        for j in range(n):
-            assert bool(up[j] >> i & 1) == (j in below)
+        for j in lower[i]:
+            upper[j].append(i)
+    for i in range(n):
+        for edges, want in ((lower, down[i]), (upper, up_set(down, i))):
+            reached, stack = {i}, [i]
+            while stack:
+                for j in edges[stack.pop()]:
+                    if j not in reached:
+                        reached.add(j)
+                        stack.append(j)
+            assert want == sum(1 << j for j in reached)
 
 
 def _ranks(chain):
@@ -97,13 +100,23 @@ def oracle_report(lp):
 def reference_verify_dual_el(lp):
     """verify_dual_el as one pass per bottom u over the up-set of u: each
     down-edge gets its count of increasing chains from _chain_counts, and the
-    greedy chain of [u, v] follows the minimum-rank edge into the up-set."""
+    greedy chain of [u, v] follows the minimum-rank edge into the up-set.
+    The up-set of u is a search up the covers, not read off lp.down."""
+    upper = [[] for _ in range(lp.n)]
+    for up, lo, _, _ in lp.covers:
+        upper[lo].append(up)
     checked = 0
     violations = []
     for u in range(lp.n):
         if u == lp.top:
             continue
-        table = lp._chain_counts(u, lp.up[u])
+        above, stack = 1 << u, [u]
+        while stack:
+            for v in upper[stack.pop()]:
+                if not above >> v & 1:
+                    above |= 1 << v
+                    stack.append(v)
+        table = lp._chain_counts(u, above)
         greedy = {}
         for v, edges in table.items():
             lo, rank = edges[0][:2]
