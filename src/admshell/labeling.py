@@ -431,11 +431,14 @@ def label_edges(poset, order):
     """Attach ranks and display strings to every cover; build the checkable poset."""
     from .shellcheck import LabeledPoset
     datum = poset.datum
+    # covers that share a label share its one string
+    text = order.serialize()
     covers = []
     for up, lo, label in poset.covers:
         if isinstance(label, AffineRoot) and not datum.is_positive_affine(label):
             raise InputError("cover carries a non-positive affine root")
-        covers.append((up, lo, order.rank(label), format_label(datum, label)))
+        rank = order.rank(label)
+        covers.append((up, lo, rank, text[rank]))
     lengths = [w.length for w in poset.elements]
     lengths.append(max(lengths) + 1 if lengths else 1)
     names = poset.element_names()

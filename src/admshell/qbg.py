@@ -4,7 +4,9 @@ Vertices are the group elements; each (w, alpha) with alpha positive gives an
 upward edge w -> w*s_alpha when the length goes up by one (weight 0) and a
 downward edge when it drops by <alpha^vee, 2rho> - 1 (weight alpha^vee).
 Shortest-path weights are well defined, and one cached search gives them from a
-source or into a target; a greedy walk finds a down-up or an up-down path.
+source; left multiplication by w0 turns every edge around and keeps its root
+and weight, so the same tables give them into a target.  A greedy walk finds a
+down-up or an up-down path.
 """
 
 from collections import namedtuple
@@ -47,24 +49,16 @@ class QuantumBruhatGraph:
             for e in es:
                 self.into[e.dst].append(e)
         self._dist, self._wt = [None] * n, [None] * n
-        self._dist_into, self._wt_into = [None] * n, [None] * n
+        w0 = self.group.longest_element()
+        self._mirror = [self.group.index[w0 * w] for w in self.group.elements]
 
     def _idx(self, w):
         return w if isinstance(w, int) else self.group.index[w]
 
-    def _bfs(self, i, into=False):
-        """d and wt from vertex i to every vertex, or into i over the in-edges."""
-        if into:
-            if self._dist_into[i] is None:
-                self._dist_into[i], self._wt_into[i] = self._search(
-                    i, self.into, 0)
-            return self._dist_into[i], self._wt_into[i]
-        if self._dist[i] is None:
-            self._dist[i], self._wt[i] = self._search(i, self.out, 1)
-        return self._dist[i], self._wt[i]
-
-    def _search(self, i, edges, far):
-        """Breadth-first search from i; an Edge (src, dst, ...) leads to e[far]."""
+    def _bfs(self, i):
+        """d and wt from vertex i to every vertex, by one cached search."""
+        if self._dist[i] is not None:
+            return self._dist[i], self._wt[i]
         n = len(self.group)
         zero = (0,) * self.datum.rank
         dist, wt = [None] * n, [None] * n
@@ -74,8 +68,8 @@ class QuantumBruhatGraph:
             new = []
             for a in frontier:
                 da, wa = dist[a] + 1, wt[a]
-                for e in edges[a]:
-                    b = e[far]
+                for e in self.out[a]:
+                    b = e[1]
                     if dist[b] is None or dist[b] == da:
                         # Bruhat edges carry the zero weight: only quantum
                         # edges build a new tuple
@@ -91,6 +85,7 @@ class QuantumBruhatGraph:
             frontier = new
         if any(d is None for d in dist):
             raise PropertyViolation("quantum Bruhat graph is not connected")
+        self._dist[i], self._wt[i] = dist, wt
         return dist, wt
 
     def distance_and_weight(self, u, v):
@@ -102,8 +97,16 @@ class QuantumBruhatGraph:
         return self.distance_and_weight(u, v)[1]
 
     def weights(self, v, into=False):
-        """wt(v, z) for every z in group order; wt(z, v) with into=True."""
-        return self._bfs(self._idx(v), into)[1]
+        """wt(v, z) for every z in group order; wt(z, v) with into=True.
+
+        The edge w -> w*s_alpha becomes w0*w*s_alpha -> w0*w under w -> w0*w,
+        with the same root and weight, so wt(z, v) = wt(w0*v, w0*z).
+        """
+        j = self._idx(v)
+        if not into:
+            return self._bfs(j)[1]
+        wt = self._bfs(self._mirror[j])[1]
+        return [wt[k] for k in self._mirror]
 
     @staticmethod
     def is_downup(path):

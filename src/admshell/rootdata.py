@@ -10,7 +10,6 @@ negatives), with ``coroots`` and the integer simple-root coordinates
 ``root_coords`` aligned with it and ``root_index`` mapping a root to its index.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
@@ -86,38 +85,28 @@ def _cartan_matrix(series, n):
 def _is_finite_type(cartan):
     """Whether a Cartan matrix A with diagonal 2 is of finite type.
 
-    Off-diagonal entries must be < 0 in symmetric pairs or 0, and some
-    d_i > 0 must make d_i A_ij symmetric.  That matrix must be positive
-    definite (Sylvester's criterion); its leading principal minors are those
-    of A times d_1...d_k, so the exact elimination runs on A itself.  Root
-    generation terminates only for such data.
+    Off-diagonal entries must be < 0 in symmetric pairs or 0, so A is a
+    Z-matrix; it is then of finite type iff it is a nonsingular M-matrix
+    (Kac, Thm 4.3), i.e. iff every leading principal minor is positive
+    (Fiedler-Ptak).  Integer Bareiss elimination has the k-th leading minor
+    as its k-th pivot, and each of its divisions is exact.  Root generation
+    terminates only for such data.
     """
     n = len(cartan)
-    d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start], stack = Fraction(1), [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j == i or cartan[i][j] == 0:
-                    continue
-                if cartan[i][j] > 0 or cartan[j][i] >= 0:
-                    return False
-                dj = d[i] * cartan[i][j] / cartan[j][i]
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    return False
-    A = [[Fraction(c) for c in row] for row in cartan]
+    for i in range(n):
+        for j in range(n):
+            if j != i and (cartan[i][j] > 0
+                           or (cartan[i][j] == 0) != (cartan[j][i] == 0)):
+                return False
+    A = [list(row) for row in cartan]
+    prev = 1
     for k in range(n):
         if A[k][k] <= 0:
             return False
         for r in range(k + 1, n):
-            f = A[r][k] / A[k][k]
-            A[r] = [a - f * b for a, b in zip(A[r], A[k])]
+            for c in range(k + 1, n):
+                A[r][c] = (A[r][c] * A[k][k] - A[r][k] * A[k][c]) // prev
+        prev = A[k][k]
     return True
 
 

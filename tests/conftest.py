@@ -9,9 +9,25 @@ from admshell.affine import AffineElement, covers_down, simple_reflection
 from admshell.exact import vec_add, vec_sub
 
 
+# exceptional types as explicit data, by their simple coroots: the simple
+# roots are the unit vectors and simple coroot i is column i of the Bourbaki
+# Cartan matrix
+EXPLICIT_DATA = {
+    "F4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+    "E6": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+           [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]],
+}
+
+
 @lru_cache(maxsize=None)
 def datum(name):
-    return ash.build_root_datum(name)
+    coroots = EXPLICIT_DATA.get(name)
+    if coroots is None:
+        return ash.build_root_datum(name)
+    n = len(coroots)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return ash.build_root_datum({"simple_roots": units,
+                                 "simple_coroots": coroots, "name": name})
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +90,29 @@ def all_shortest_paths(g, u, v):
 
     extend(_vertex(g, u), [])
     return out
+
+
+def reverse_search(g, v):
+    """d(z, v) and wt(z, v) for every z, by a breadth-first search back from
+    v over the in-edges ``g.into``; every shortest path must agree on wt."""
+    j = _vertex(g, v)
+    n = len(g.group)
+    dist, wt = [None] * n, [None] * n
+    dist[j], wt[j] = 0, (0,) * g.datum.rank
+    frontier = [j]
+    while frontier:
+        new = []
+        for b in frontier:
+            for e in g.into[b]:
+                a, wa = e.src, vec_add(wt[b], e.weight)
+                if dist[a] is None:
+                    dist[a], wt[a] = dist[b] + 1, wa
+                    new.append(a)
+                elif dist[a] == dist[b] + 1:
+                    assert wt[a] == wa, (a, j)
+        frontier = new
+    assert None not in dist
+    return dist, wt
 
 
 def paths_of_length(g, u, v, length):

@@ -204,9 +204,10 @@ def test_verify_check_full_runs_the_convexity_pass_once(capsys, monkeypatch):
 
 
 def test_verify_check_full_fills_few_bfs_tables(capsys, monkeypatch):
-    # the gateway data need one search from each x and one into each y^-1
-    # of the acute presentations, the top-two report one from each z1: on
-    # D4-adjoint fw(1,0,0,0), K = a1,a3,a4, never one per group element
+    # the gateway data need one search from each x and one from each
+    # w0*y^-1 of the acute presentations, the top-two report one from each
+    # z1: on D4-adjoint fw(1,0,0,0), K = a1,a3,a4, never one per group
+    # element
     from admshell.affine import acute_presentation_K
     posets = []
     original = cli.label_edges
@@ -228,7 +229,7 @@ def test_verify_check_full_fills_few_bfs_tables(capsys, monkeypatch):
              + len({p.y.inverse() for p in pres.values()})
              + len({p.x for w, p in pres.items() if w.length == height - 1}))
     g = d.qbg()
-    filled = sum(t is not None for t in g._dist + g._dist_into)
+    filled = sum(t is not None for t in g._dist)
     assert 0 < filled <= bound < len(g.group)
 
 

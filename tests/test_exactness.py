@@ -11,7 +11,7 @@ import admshell
 
 PACKAGE = pathlib.Path(admshell.__file__).parent
 # module -> the one function in it that may name Fraction
-FRACTION_HOMES = {"exact.py": "solve_linear", "rootdata.py": "_is_finite_type"}
+FRACTION_HOMES = {"exact.py": "solve_linear"}
 
 
 def imports_fractions(node):

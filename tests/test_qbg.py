@@ -7,7 +7,7 @@ import pytest
 from admshell import PropertyViolation
 from admshell.exact import vec_add, vec_sub
 from conftest import (all_shortest_paths, check_longer_walks_weigh_more,
-                      datum, path_weight)
+                      datum, path_weight, reverse_search)
 
 
 def wgroup(name):
@@ -190,8 +190,6 @@ def tampered(name, edit):
     g.out = [list(es) for es in g.out]
     g._dist = [None] * len(g.out)
     g._wt = [None] * len(g.out)
-    g._dist_into = [None] * len(g.out)
-    g._wt_into = [None] * len(g.out)
     edit(g)
     g.into = [[] for _ in g.out]
     for es in g.out:
@@ -206,12 +204,28 @@ def test_reverse_search_matches_the_forward_tables(name):
     g = d.qbg()
     W = d.weyl_group()
     for v in W:
-        dist, wt = g._bfs(W.index[v], into=True)
-        assert g.weights(v, into=True) is wt
+        dist, wt = reverse_search(g, v)
+        assert g.weights(v, into=True) == wt
         assert [(dz, wz) for dz, wz in zip(dist, wt)] == \
             [g.distance_and_weight(z, v) for z in W]
     for u in W:
         assert g.weights(u) == [g.wt(u, z) for z in W]
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2", "GL2", "GL3",
+    "GL4", "A1xA1", "A1xA2", "A3-adjoint", "B3-adjoint", "C3-adjoint",
+    "D4-adjoint", "B4-adjoint", "F4"])
+def test_left_multiplication_by_w0_reverses_every_edge(name):
+    # the ground for reading wt(z, v) off the search from w0*v
+    d = datum(name)
+    g = d.qbg()
+    W = d.weyl_group()
+    w0 = W.longest_element()
+    m = [W.index[w0 * w] for w in W]
+    edges = {(e.src, e.dst, e.root_idx, e.quantum, tuple(e.weight))
+             for es in g.out for e in es}
+    assert {(m[b], m[a], r, q, wt) for a, b, r, q, wt in edges} == edges
 
 
 def test_bfs_rejects_incoherent_shortest_path_weights():
@@ -226,7 +240,7 @@ def test_bfs_rejects_incoherent_shortest_path_weights():
         k = next(k for k, e in enumerate(g.out[a]) if e.dst == top)
         g.out[a][k] = g.out[a][k]._replace(weight=(1, 0))
 
-    # the search from the identity, and the reverse one into the top
+    # the search from the identity, which also serves the weights into the top
     for query in (lambda g: g.distance_and_weight(W.identity, top),
                   lambda g: g.weights(top, into=True)):
         with pytest.raises(PropertyViolation,
@@ -242,7 +256,8 @@ def test_bfs_rejects_a_disconnected_graph():
     def drop(g):
         g.out[s] = [e for e in g.out[s] if e.dst != W.index[W.identity]]
 
-    # nothing leads on from s, and nothing leads back into the identity
+    # nothing leads on from s; the weights into the identity are read off the
+    # search from s as well
     for query in (lambda g: g.distance_and_weight(s, s),
                   lambda g: g.weights(W.identity, into=True)):
         with pytest.raises(PropertyViolation, match="not connected"):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from admshell import (InputError, acute_presentations, adm_membership,
                       build_root_datum)
 from admshell.affine import AffineElement
 from admshell.exact import solve_linear
-from admshell.rootdata import AffineRoot
+from admshell.rootdata import AffineRoot, _is_finite_type
 from conftest import MATRIX, datum
 
 
@@ -134,6 +135,67 @@ def test_finite_type_check_rank_two():
             else:
                 with pytest.raises(InputError, match="not of finite type"):
                     build_root_datum(spec)
+
+
+def fraction_is_finite_type(cartan):
+    """Oracle: a symmetrizer d_i > 0 with d_i A_ij symmetric must exist, and
+    Fraction elimination must find the leading minors of A positive."""
+    n = len(cartan)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start], stack = Fraction(1), [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or cartan[i][j] == 0:
+                    continue
+                if cartan[i][j] > 0 or cartan[j][i] >= 0:
+                    return False
+                dj = d[i] * cartan[i][j] / cartan[j][i]
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    return False
+    A = [[Fraction(c) for c in row] for row in cartan]
+    for k in range(n):
+        if A[k][k] <= 0:
+            return False
+        for r in range(k + 1, n):
+            f = A[r][k] / A[k][k]
+            A[r] = [a - f * b for a, b in zip(A[r], A[k])]
+    return True
+
+
+def with_off_diagonal(n, entries):
+    """The n-by-n matrix with diagonal 2 and the entries off it, row-wise."""
+    it = iter(entries)
+    return [[2 if i == j else next(it) for j in range(n)] for i in range(n)]
+
+
+def test_finite_type_check_matches_the_fraction_oracle():
+    # every matrix of rank <= 3 with off-diagonal entries in 1..-4; a seeded
+    # sample of rank-4 ones whose pairs (A_ij, A_ji) are both 0 or both in
+    # -1..-4, so that elimination decides them; and the Cartan matrices of
+    # presets and explicit data
+    mats = [with_off_diagonal(n, e) for n in (1, 2, 3)
+            for e in itertools.product(range(1, -5, -1), repeat=n * n - n)]
+    rng = random.Random(4)
+    pairs = [(0, 0)] * 8 + list(itertools.product(range(-1, -5, -1), repeat=2))
+    for _ in range(5000):
+        A = with_off_diagonal(4, [0] * 12)
+        for i, j in itertools.combinations(range(4), 2):
+            A[i][j], A[j][i] = rng.choice(pairs)
+        mats.append(A)
+    names = sorted(CLASSICAL_COUNTS) + ["B4-adjoint", "D4-adjoint", "F4", "E6"]
+    mats += [datum(name).cartan for name in names]
+    finite = 0
+    for A in mats:
+        assert _is_finite_type(A) == fraction_is_finite_type(A), A
+        finite += _is_finite_type(A)
+    assert finite > len(names)
 
 
 def test_explicit_datum_roundtrip():
