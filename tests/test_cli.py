@@ -206,8 +206,7 @@ def test_verify_check_full_runs_the_convexity_pass_once(capsys, monkeypatch):
 def test_verify_check_full_fills_few_bfs_tables(capsys, monkeypatch):
     # the gateway data need one search from each x and one from each
     # w0*y^-1 of the acute presentations, the top-two report one from each
-    # z1: on D4-adjoint fw(1,0,0,0), K = a1,a3,a4, never one per group
-    # element
+    # z1: on D4-adjoint fw(1,0,0,0), K = a1,a3,a4, never one per group element
     from admshell.affine import acute_presentation_K
     posets = []
     original = cli.label_edges
