@@ -133,7 +133,8 @@ class AdmissiblePoset:
     @cached_property
     def _down(self):
         """Down-set bitsets, built on the first order query (members are
-        sorted by length and the formal top comes last)."""
+        sorted by length and the formal top comes last) unless label_edges
+        has set them to its labeled poset's."""
         lower = [[] for _ in range(self.top + 1)]
         for up, lo, _ in self.covers:
             lower[up].append(lo)

@@ -51,8 +51,6 @@ def _parse_mu(datum, text, basis):
 
 
 def _parse_K(datum, text):
-    if not text:
-        return ()
     return tuple(datum.parse_affine_token(tok)
                  for tok in text.split(",") if tok.strip())
 

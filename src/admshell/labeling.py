@@ -50,6 +50,7 @@ from .exact import dot, solve_linear
 from .rootdata import AffineRoot
 from .affine import affine_reflection, simple_reflection
 from .weyl import WeylElement
+from .shellcheck import LabeledPoset
 
 
 def format_label(datum, label):
@@ -428,8 +429,8 @@ def build_label_order(poset):
 
 
 def label_edges(poset, order):
-    """Attach ranks and display strings to every cover; build the checkable poset."""
-    from .shellcheck import LabeledPoset
+    """Attach ranks and display strings to every cover; build the checkable
+    poset, whose down-set table (same ids and covers) the poset then reads."""
     datum = poset.datum
     # covers that share a label share its one string
     text = order.serialize()
@@ -442,5 +443,7 @@ def label_edges(poset, order):
     lengths = [w.length for w in poset.elements]
     lengths.append(max(lengths) + 1 if lengths else 1)
     names = poset.element_names()
-    return LabeledPoset(len(poset.elements) + 1, poset.top, poset.tau_id,
-                        lengths, covers, names)
+    lp = LabeledPoset(len(poset.elements) + 1, poset.top, poset.tau_id,
+                      lengths, covers, names)
+    poset._down = lp.down
+    return lp

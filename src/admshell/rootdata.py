@@ -14,6 +14,8 @@ from math import lcm
 
 from .errors import InputError
 from .exact import dot, solve_linear, vec_neg, vec_sub
+from .weyl import WeylGroup
+from .qbg import QuantumBruhatGraph
 
 
 class AffineRoot:
@@ -355,13 +357,11 @@ class RootDatum:
 
     def weyl_group(self):
         if not hasattr(self, "_weyl"):
-            from .weyl import WeylGroup
             self._weyl = WeylGroup(self)
         return self._weyl
 
     def qbg(self):
         if not hasattr(self, "_qbg"):
-            from .qbg import QuantumBruhatGraph
             self._qbg = QuantumBruhatGraph(self)
         return self._qbg
 

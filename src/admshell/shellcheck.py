@@ -28,16 +28,14 @@ class LabeledPoset:
         self.covers = sorted(covers, key=lambda c: (c[0], c[1]))
         self.names = list(names) if names else [str(i) for i in range(n)]
         self.down_adj = [[] for _ in range(n)]
-        ranks_seen = {}
         for up, lo, rank, label in self.covers:
             if self.lengths[up] != self.lengths[lo] + 1:
                 raise InputError("cover with a length gap")
-            if (up, rank) in ranks_seen:
-                raise InputError("two covers of one element share a label")
-            ranks_seen[(up, rank)] = lo
             self.down_adj[up].append((lo, rank, label))
-        for i in range(n):
-            self.down_adj[i].sort(key=lambda t: t[1])
+        for adj in self.down_adj:
+            adj.sort(key=lambda t: t[1])
+            if any(a[1] == b[1] for a, b in zip(adj, adj[1:])):
+                raise InputError("two covers of one element share a label")
         self._check_shape()
         self.down = closure_bits(
             sorted(range(n), key=lambda i: self.lengths[i]),
@@ -211,20 +209,20 @@ class LabeledPoset:
     # -- recursive coatom orderings -------------------------------------------
 
     def _covers_in(self, x, ideal):
-        """(F, pure) for an order ideal without x: F is the bitmask of the
-        lower covers of x in it, and pure says whether ideal & down(x) is the
-        union of their down-sets, that is, has only covers of x as maxima."""
+        """(F, pure) for an order ideal without x: bit k of F is set iff
+        down_adj[x][k], the k-th lower cover in label order, is in it; pure
+        says whether ideal & down(x) has only covers of x as maxima."""
         down = self.down
         F = reach = 0
-        for z, _, _ in self.down_adj[x]:
+        for k, (z, _, _) in enumerate(self.down_adj[x]):
             if ideal >> z & 1:
-                F |= 1 << z
+                F |= 1 << k
                 reach |= down[z]
         return F, ideal & down[x] == reach
 
     def _in_order(self, ids, step):
         """Each x of ids (one length) meets the earlier ones in a pure ideal,
-        with maxima F, and step(x, F) holds."""
+        with maxima F (positions in down_adj[x]), and step(x, F) holds."""
         covers_in, down = self._covers_in, self.down
         prev = 0
         for x in ids:
@@ -246,11 +244,11 @@ class LabeledPoset:
             memo[key] = True  # provisional, cycles impossible in a poset
             if self.lengths[top_el] - self.lengths[self.zero] <= 1:
                 return True
-            ordering = sorted(
-                down_adj[top_el],
-                key=lambda t: (not first >> t[0] & 1, t[1], t[0]))
-            ok = memo[key] = self._in_order([c for c, _, _ in ordering],
-                                            attempt)
+            # the covers at the positions in first, then the rest
+            ids = [c for c, _, _ in down_adj[top_el]]
+            ordering = ([c for k, c in enumerate(ids) if first >> k & 1]
+                        + [c for k, c in enumerate(ids) if not first >> k & 1])
+            ok = memo[key] = self._in_order(ordering, attempt)
             return ok
 
         ok = attempt(self.top, 0)
@@ -266,13 +264,13 @@ class LabeledPoset:
         (down(x1) | ... | down(x_{j-1})) & down(x_j) passes at rank N - 1.
         Each ideal visited is the union of the down-sets of a set F of lower
         covers of some x, so it is pure with maxima F: the check recurses on
-        (x, F) from (top, coatoms).  F is taken in the label order of
-        down_adj[x], and each later z recurses on its covers in the earlier
-        down-sets (_in_order).  Where that order fails on at most 6 maxima,
-        every order is tried, so a False is exact; above 6 it says only that
-        the label order fails, and then recursive_coatom_check fails too,
-        since it tries that order first at every level.  The one-element
-        poset fails.
+        (x, F) from (top, coatoms), F a set of positions in down_adj[x].
+        F is taken in that label order, and each later z recurses on its
+        covers in the earlier down-sets (_in_order).  Where that order fails
+        on at most 6 maxima, every order is tried, so a False is exact; above
+        6 it says only that the label order fails, and then
+        recursive_coatom_check fails too, since it tries that order first at
+        every level.  The one-element poset fails.
         """
         if self.top == self.zero:
             return False
@@ -283,14 +281,14 @@ class LabeledPoset:
                 return True
             got = memo.get((x, F))
             if got is None:
-                seq = [lo for lo, _, _ in self.down_adj[x] if F >> lo & 1]
+                seq = [lo for k, (lo, _, _) in enumerate(self.down_adj[x])
+                       if F >> k & 1]
                 got = memo[x, F] = self._in_order(seq, passes) or (
                     len(seq) <= 6 and any(self._in_order(p, passes)
                                           for p in itertools.permutations(seq)))
             return got
 
-        return passes(self.top, sum(1 << lo for lo, _, _
-                                    in self.down_adj[self.top]))
+        return passes(self.top, (1 << len(self.down_adj[self.top])) - 1)
 
     # -- ideal restriction ------------------------------------------------------
 

@@ -148,9 +148,11 @@ def test_extremes_match_the_pairing_criterion():
 
 
 def test_leq_ids_matches_the_labeled_poset_order():
-    cases = [pipeline(name, mu, K)[::2] for name, mu, K in matrix_entries()]
-    for poset in parahoric_full_posets():
-        cases.append((poset, label_edges(poset, build_label_order(poset))))
+    # a fresh poset builds its own down-sets; the pipeline's one reads lp's
+    cases = [(build_admissible(datum(name), mu, K), pipeline(name, mu, K)[2])
+             for name, mu, K in matrix_entries()]
+    for poset, fresh in zip(parahoric_full_posets(), parahoric_full_posets()):
+        cases.append((fresh, label_edges(poset, build_label_order(poset))))
     for poset, lp in cases:
         ids = range(poset.top + 1)
         assert all(poset.leq_ids(i, j) == lp.leq(i, j)
@@ -159,7 +161,8 @@ def test_leq_ids_matches_the_labeled_poset_order():
 
 
 def test_fast_pipeline_leaves_the_admissible_closure_unbuilt(monkeypatch):
-    # only --check full and cox ask the admissible poset for its order
+    # label_edges gives the poset its labeled poset's down-sets, so only a
+    # poset that is never labeled (cox) builds its own
     built = []
     closure_bits = admissible.closure_bits
     monkeypatch.setattr(admissible, "closure_bits",
@@ -170,7 +173,10 @@ def test_fast_pipeline_leaves_the_admissible_closure_unbuilt(monkeypatch):
         lp = label_edges(poset, build_label_order(poset))
         assert lp.verify_dual_el()["status"] == "PASS"
         assert lp.ncm_check() and lp.recursive_coatom_check()[0]
+        assert poset.leq_ids(poset.tau_id, poset.top)
+        assert poset.leq_ids(poset.maximal_ids[0], poset.top)
         assert not built
+    for poset in parahoric_full_posets():
         assert poset.leq_ids(poset.tau_id, poset.top)
         assert poset.leq_ids(poset.maximal_ids[0], poset.top)
         assert len(built) == 1

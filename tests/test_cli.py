@@ -414,8 +414,11 @@ def test_parser_for_one_subcommand_parses_as_the_full_one(argv):
     GL3_VERIFY,
     ("adm", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1", "--out", "json"),
     ("shell-order", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1"),
+    (*GL3_VERIFY, "--check", "full"),
 ])
-def test_fast_commands_build_no_admissible_closure(capsys, monkeypatch, argv):
+def test_commands_but_cox_build_no_admissible_closure(capsys, monkeypatch,
+                                                      argv):
+    # --check full reads the down-sets of the labeled poset (label_edges)
     def refuse(*args):
         raise AssertionError("admissible closure built")
 

@@ -2,7 +2,8 @@
 
 Every name that an ``admshell`` module binds by ``import`` must be read
 somewhere in that module or be listed in its ``__all__`` (the package
-re-exports its API that way).
+re-exports its API that way).  Imports sit at module level, but for one
+inside ``cli.cmd_verify`` whose comment gives its reason.
 """
 
 import ast
@@ -46,6 +47,31 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source):
+    """(function, line) of each import statement inside a function."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(fn.name, node.lineno) for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+def test_the_check_finds_an_import_in_a_function():
+    source = ("import json\n"
+              "def f():\n"
+              "    from .weyl import WeylGroup\n"
+              "    return WeylGroup\n")
+    assert function_imports(source) == [("f", 3)]
+
+
+def test_imports_sit_at_module_level():
+    found = {path.name: [fn for fn, _ in function_imports(path.read_text())]
+             for path in SRC.glob("*.py")}
+    assert {name: fns for name, fns in found.items() if fns} == {
+        "cli.py": ["cmd_verify"]}
 
 
 PUBLIC_API = [

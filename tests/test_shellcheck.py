@@ -20,6 +20,15 @@ def neg(v):
     return tuple(-x for x in v)
 
 
+def test_two_covers_of_one_element_may_not_share_a_label():
+    covers = [(3, 1, 0, "a"), (3, 2, 1, "b"), (1, 0, 2, "c"), (2, 0, 3, "d")]
+    assert LabeledPoset(4, 3, 0, [0, 1, 1, 2], covers).leq(0, 3)
+    covers[1] = (3, 2, 0, "a")
+    with pytest.raises(InputError, match="two covers of one element share "
+                                         "a label"):
+        LabeledPoset(4, 3, 0, [0, 1, 1, 2], covers)
+
+
 def test_two_element_chain_passes():
     lp = LabeledPoset(2, 1, 0, [0, 1], [(1, 0, 0, "x")], ["bot", "top"])
     rep = lp.verify_dual_el()
@@ -403,6 +412,27 @@ def test_distinguished_chain_maximal_is_single_edge(gl3_case):
         chain = lp.distinguished_chain(mid, mid)
         assert len(chain) == 1
         assert chain[0][3] == f"eta({a.word_str()})"
+
+
+def test_covers_in_sets_positions_in_label_order(gl3_case):
+    # bit k of F stands for down_adj[x][k]: the union of the down-sets of
+    # the covers at the positions in a mask gives back that mask, pure
+    _, _, lp = gl3_case
+    seen = 0
+    for x in range(lp.n):
+        covers = [lo for lo, _, _ in lp.down_adj[x]]
+        for F in range(1 << len(covers)):
+            ideal = 0
+            for k, lo in enumerate(covers):
+                if F >> k & 1:
+                    ideal |= lp.down[lo]
+            assert lp._covers_in(x, ideal) == (F, True)
+            seen += F.bit_count() > 1
+        # an element two lengths down, alone, is no cover and not pure
+        for lo in covers:
+            for z, _, _ in lp.down_adj[lo]:
+                assert lp._covers_in(x, lp.down[z]) == (0, False)
+    assert seen  # some mask names two covers
 
 
 def test_recursive_coatom_chain_and_gl3(gl3_case):
