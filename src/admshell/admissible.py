@@ -78,9 +78,10 @@ class AdmissiblePoset:
 
         # downward closure of the extreme translations = the full admissible set
         full_covers = dict.fromkeys(t for _, t in extreme)
+        pool = {(t.translation, t.finite): t for t in full_covers}
         queue = list(full_covers)
         for w in queue:
-            full_covers[w] = covers_down(w)
+            full_covers[w] = covers_down(w, pool)
             for u, _ in full_covers[w]:
                 if u not in full_covers:
                     full_covers[u] = None
@@ -281,10 +282,10 @@ def top_two_layer_report(poset):
     qbg = d.qbg()
     height = d.pairing(poset.mu, d.two_rho)
     report = []
-    below = {}
+    below, pool = {}, {}
     for a in poset.WJ:
         t = poset.translation_of(a)
-        below[t] = {u for u, _ in covers_down(t)}
+        below[t] = {u for u, _ in covers_down(t, pool)}
     gate_id = dict(zip(poset.WJK, poset.maximal_ids))
     label = {(up, lo): ar for up, lo, ar in poset.covers if up != poset.top}
     for w in poset.elements:

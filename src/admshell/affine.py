@@ -13,13 +13,14 @@ from .rootdata import AffineRoot
 class AffineElement:
     """t^translation * finite, acting on affine roots."""
 
-    __slots__ = ("datum", "translation", "finite", "_len")
+    __slots__ = ("datum", "translation", "finite", "_len", "_hash")
 
     def __init__(self, datum, translation, finite):
         self.datum = datum
         self.translation = tuple(translation)
         self.finite = finite
         self._len = None
+        self._hash = hash((self.translation, finite))
 
     @classmethod
     def identity(cls, datum):
@@ -39,7 +40,7 @@ class AffineElement:
                 and self.finite == other.finite)
 
     def __hash__(self):
-        return hash((self.translation, self.finite))
+        return self._hash
 
     def __mul__(self, other):
         if self.datum is not other.datum:
@@ -109,43 +110,57 @@ def simple_reflection(datum, ar):
     return affine_reflection(datum, ar)
 
 
-def inversions(w):
-    """Positive affine roots sent to negative ones; size == length."""
+def _inversion_ranges(w):
+    """(i, k_min, k_max) per nonempty level range: the inversions of w are
+    the (roots[i], k), k_min <= k <= k_max, in that order."""
     d = w.datum
     npos = d.num_positive
     perm = w.finite.perm
     row = d.pairing_row(w.translation)
-    out = []
-    for i, a in enumerate(d.roots):
+    count = 0
+    for i in range(len(d.roots)):
         j = perm[i]
-        c = row[j]
-        k_min = 0 if i < npos else 1
-        k_max = c - 1 if j < npos else c
-        out.extend(AffineRoot(a, k) for k in range(k_min, k_max + 1))
-    if len(out) != w.length:
+        k_min = int(i >= npos)
+        k_max = row[j] - (j < npos)
+        if k_min <= k_max:
+            count += k_max - k_min + 1
+            yield i, k_min, k_max
+    if count != w.length:
         raise AssertionError("inversion count disagrees with the length formula")
-    return out
 
 
-def covers_down(w):
+def inversions(w):
+    """Positive affine roots sent to negative ones; size == length."""
+    roots = w.datum.roots
+    return [AffineRoot(roots[i], k) for i, k_min, k_max in _inversion_ranges(w)
+            for k in range(k_min, k_max + 1)]
+
+
+def covers_down(w, pool=None):
     """All pairs (w*s_ar, ar) one Bruhat step below w.
 
     For w = t^lam z and ar = (a, k), s_ar = t^{-k a^vee} s_a, so
-    w*s_ar = t^{lam - k z(a^vee)} (z s_a), where z(a^vee) is the coroot of
-    z(a): both factors are table lookups.
+    w*s_ar = t^{lam - k z(a^vee)} (z s_a): both factors are table lookups.
+    Every candidate lies below w.  pool maps (translation, finite) to the
+    elements built so far; one pool over a descent measures each one once.
     """
     d = w.datum
+    if pool is None:
+        pool = {}
     reflections, npos = d.weyl_group().reflections, d.num_positive
     lam, z = w.translation, w.finite
     lw = w.length
     out = []
-    for ar in inversions(w):
-        i = d.root_index[ar.root]
+    for i, k_min, k_max in _inversion_ranges(w):
         zav = d.coroots[z.perm[i]]
-        u = AffineElement(d, tuple(x - ar.level * c for x, c in zip(lam, zav)),
-                          z * reflections[i % npos])
-        if u.length == lw - 1:
-            out.append((u, ar))
+        zs = z * reflections[i % npos]
+        for k in range(k_min, k_max + 1):
+            key = (tuple(x - k * c for x, c in zip(lam, zav)), zs)
+            u = pool.get(key)
+            if u is None:
+                u = pool[key] = AffineElement(d, *key)
+            if u.length == lw - 1:
+                out.append((u, AffineRoot(d.roots[i], k)))
     out.sort(key=lambda p: (p[0].translation, p[0].finite.word))
     return out
 
@@ -197,9 +212,10 @@ def bruhat_leq(w1, w2):
         return False
     frontier = {w2}
     depth = w2.length
+    pool = {}
     while depth > w1.length:
         depth -= 1
-        frontier = {u for w in frontier for u, _ in covers_down(w)}
+        frontier = {u for w in frontier for u, _ in covers_down(w, pool)}
     return w1 in frontier
 
 

@@ -125,16 +125,45 @@ def reference_covers_down(w):
 
 @pytest.mark.parametrize("name, mu, basis", [
     ("GL4", "2,1,0,0", "ambient"), ("D4-adjoint", "1,0,0,0", "fw"),
-    ("G2", "1,1", "fw"), ("A1xA1", "1,1", "coroot")])
+    ("G2", "1,1", "fw"), ("A1xA1", "1,1", "coroot"),
+    ("A3-adjoint", "1,1,1", "fw")])
 def test_covers_down_matches_the_affine_product(name, mu, basis):
     d = build_root_datum(name)
     poset = build_admissible(d, _parse_mu(d, mu, basis), ())
+    pooled = [[] for _ in poset.elements]
+    for up, lo, ar in poset.covers:
+        if up != poset.top:
+            pooled[up].append((poset.elements[lo], ar))
     covers = 0
-    for w in poset.elements:
+    for w, from_poset in zip(poset.elements, pooled):
         got = covers_down(w)
-        assert got == reference_covers_down(w)
+        want = reference_covers_down(AffineElement(d, w.translation, w.finite))
+        assert got == want and from_poset == want
         covers += len(got)
     assert covers > len(poset.elements)
+
+
+def test_pooled_descent_measures_each_element_once(monkeypatch):
+    d = build_root_datum("A3-adjoint")
+    mu = _parse_mu(d, "1,1,1", "fw")
+    measured = []
+    length = AffineElement.length.fget
+
+    def counted(w):
+        if w._len is None:
+            measured.append(w)
+        return length(w)
+
+    monkeypatch.setattr(AffineElement, "length", property(counted))
+    poset = build_admissible(d, mu, ())
+    assert len(measured) == len(poset.full_elements) == 473
+    pool = {(w.translation, w.finite): w for w in poset.full_elements}
+    for w in poset.full_elements:
+        assert hash(w) == hash((w.translation, w.finite))
+        for u, _ in covers_down(w, pool):
+            assert u is pool[u.translation, u.finite]
+    # every candidate lies below its element, so the pool never grows
+    assert len(pool) == 473 and len(measured) == 473
 
 
 def test_covers_down_a1_against_bruteforce():
