@@ -394,17 +394,9 @@ def build_label_order(poset):
     phi_K = subsystem_positive(datum, K)
     seeds = {ar for up, _, ar in poset.covers if up != poset.top}
     S, cap, capped = relevant_closure(datum, K, seeds, phi_K)
-    classify = make_classifier(datum, K, phi_K)
-    cls = {ar: classify(ar) for ar in S}
     Jp = finite_subsystem_indices(datum, K)
     P, D = _separating_vector(datum, Jp, cap)
     key = _order_keys(datum, S, P, D)
-    for ar in S:
-        # M // H > 0, so the leading entry has the sign of <v, root> + level
-        if (key[ar][0] < 0) != (cls[ar] == 1):
-            raise PropertyViolation(
-                f"separating functional misclassifies {datum.format_affine(ar)}")
-
     ordered = sorted(S, key=key.__getitem__)
     for x, y in zip(ordered, ordered[1:]):
         if key[x] == key[y]:
@@ -421,9 +413,14 @@ def build_label_order(poset):
         if len(bad) >= len(before):
             raise PropertyViolation("defect repair did not shrink the defect")
 
-    n1 = sum(1 for ar in ordered if cls[ar] == 1)
+    # M // H > 0, so the leading entry has the sign of <v, root> + level
+    n1 = sum(1 for ar in ordered if key[ar][0] < 0)
     order = LabelOrder(datum, K, ordered[:n1] + poset.WJK + ordered[n1:],
                        capped=capped)
+    for ar in order.roots:
+        if (key[ar][0] < 0) != (order.root_class[ar] == 1):
+            raise PropertyViolation(
+                f"separating functional misclassifies {datum.format_affine(ar)}")
     order.check()
     return order
 
@@ -434,16 +431,19 @@ def label_edges(poset, order):
     datum = poset.datum
     # covers that share a label share its one string
     text = order.serialize()
-    covers = []
-    for up, lo, label in poset.covers:
-        if isinstance(label, AffineRoot) and not datum.is_positive_affine(label):
-            raise InputError("cover carries a non-positive affine root")
-        rank = order.rank(label)
-        covers.append((up, lo, rank, text[rank]))
+
+    def covers():
+        for up, lo, label in poset.covers:
+            if isinstance(label, AffineRoot) \
+                    and not datum.is_positive_affine(label):
+                raise InputError("cover carries a non-positive affine root")
+            rank = order.rank(label)
+            yield up, lo, rank, text[rank]
+
     lengths = [w.length for w in poset.elements]
     lengths.append(max(lengths) + 1 if lengths else 1)
     names = poset.element_names()
     lp = LabeledPoset(len(poset.elements) + 1, poset.top, poset.tau_id,
-                      lengths, covers, names)
+                      lengths, covers(), names)
     poset._down = lp.down
     return lp

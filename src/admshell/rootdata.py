@@ -2,7 +2,7 @@
 
 A datum holds dual lattices X^* and X_* realised as Z^n with the standard dot
 pairing.  Roots live in X^*, coroots in X_*.  Presets cover the classical
-series in simply-connected or adjoint lattices, GL_n, and binary products;
+series in simply-connected or adjoint lattices, GL_n, and their products;
 explicit simple roots/coroots are accepted too.
 
 The root system is one indexed table: ``roots`` (positive roots, then their
@@ -112,15 +112,18 @@ def _is_finite_type(cartan):
     return True
 
 
+def _check_rows(key, rows):
+    if not (isinstance(rows, (list, tuple)) and rows and all(
+            isinstance(row, (list, tuple))
+            and all(type(c) is int for c in row) for row in rows)):
+        raise InputError(f"{key} must be a non-empty list of lists "
+                         f"of integers, not {rows!r}")
+
+
 class RootDatum:
     def __init__(self, simple_roots, simple_coroots, name="custom"):
-        for key, rows in (("simple_roots", simple_roots),
-                          ("simple_coroots", simple_coroots)):
-            if not (isinstance(rows, (list, tuple)) and rows and all(
-                    isinstance(row, (list, tuple))
-                    and all(type(c) is int for c in row) for row in rows)):
-                raise InputError(f"{key} must be a non-empty list of lists "
-                                 f"of integers, not {rows!r}")
+        _check_rows("simple_roots", simple_roots)
+        _check_rows("simple_coroots", simple_coroots)
         simple_roots = [tuple(v) for v in simple_roots]
         simple_coroots = [tuple(v) for v in simple_coroots]
         if len(simple_roots) != len(simple_coroots):
@@ -434,15 +437,6 @@ def _gl(n):
     return roots, list(roots)
 
 
-def _product(d1, d2, name):
-    r1, r2 = d1.rank, d2.rank
-    roots = [tuple(v) + (0,) * r2 for v in d1.simple_roots]
-    roots += [(0,) * r1 + tuple(v) for v in d2.simple_roots]
-    coroots = [tuple(v) + (0,) * r2 for v in d1.simple_coroots]
-    coroots += [(0,) * r1 + tuple(v) for v in d2.simple_coroots]
-    return RootDatum(roots, coroots, name=name)
-
-
 def build_root_datum(spec):
     """Build a datum from a preset name, a product "AxB", or explicit data."""
     if isinstance(spec, RootDatum):
@@ -461,15 +455,19 @@ def build_root_datum(spec):
     if not isinstance(spec, str):
         raise InputError(f"cannot build a root datum from {spec!r}")
     name = spec.strip()
-    factors = [_preset(part.strip(), spec) for part in name.split("x")]
-    datum = factors[0]
-    for factor in factors[1:]:
-        datum = _product(datum, factor, name)
-    return datum
+    roots, coroots, rank = [], [], 0
+    for part in name.split("x"):
+        r, c = _preset(part.strip(), spec)
+        _check_rows("simple_roots", r)
+        pad = (0,) * len(r[0])
+        roots = [v + pad for v in roots] + [(0,) * rank + v for v in r]
+        coroots = [v + pad for v in coroots] + [(0,) * rank + v for v in c]
+        rank += len(pad)
+    return RootDatum(roots, coroots, name=name)
 
 
 def _preset(name, spec):
-    """One preset factor of the spec string; errors name the whole spec."""
+    """A factor's simple roots and coroots; errors name the whole spec."""
     base, _, variant = name.partition("-")
     adjoint = variant == "adjoint"
     if variant not in ("", "adjoint"):
@@ -484,12 +482,10 @@ def _preset(name, spec):
             raise InputError("GL_n needs n >= 2")
         if adjoint:
             raise InputError("GL_n has no adjoint variant here")
-        roots, coroots = _gl(n)
-        return RootDatum(roots, coroots, name=name)
+        return _gl(n)
     series, num = base[:1], base[1:]
     try:
         n = int(num)
     except ValueError:
         raise InputError(f"unknown preset {spec!r}") from None
-    roots, coroots = _semisimple(series, n, adjoint=adjoint)
-    return RootDatum(roots, coroots, name=name)
+    return _semisimple(series, n, adjoint=adjoint)

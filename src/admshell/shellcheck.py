@@ -18,45 +18,48 @@ from .errors import InputError, PropertyViolation
 
 class LabeledPoset:
     """Covers carry an integer rank (position in the label order) and a display
-    string.  Element 'top' is the formal maximum, 'zero' the minimum."""
+    string.  Element 'top' is the formal maximum, 'zero' the minimum.  One
+    pass over the covers, any iterable of (up, lo, rank, label), fills the
+    one cover table down_adj: the (lo, rank, label) below each id by rank."""
 
     def __init__(self, n, top, zero, lengths, covers, names=None):
         self.n = n
         self.top = top
         self.zero = zero
         self.lengths = list(lengths)
-        self.covers = sorted(covers, key=lambda c: (c[0], c[1]))
         self.names = list(names) if names else [str(i) for i in range(n)]
         self.down_adj = [[] for _ in range(n)]
-        for up, lo, rank, label in self.covers:
+        covered = bytearray(n)
+        for up, lo, rank, label in covers:
             if self.lengths[up] != self.lengths[lo] + 1:
                 raise InputError("cover with a length gap")
             self.down_adj[up].append((lo, rank, label))
+            covered[lo] = 1
         for adj in self.down_adj:
             adj.sort(key=lambda t: t[1])
             if any(a[1] == b[1] for a, b in zip(adj, adj[1:])):
                 raise InputError("two covers of one element share a label")
-        self._check_shape()
+        minimal = [i for i, adj in enumerate(self.down_adj)
+                   if not adj and i != top]
+        if n > 1 and minimal != [zero]:
+            raise InputError("poset needs a unique minimal element")
+        if any(not c and i != top for i, c in enumerate(covered)):
+            raise InputError("element neither covered nor the top")
         self.down = closure_bits(
             sorted(range(n), key=lambda i: self.lengths[i]),
             [[lo for lo, _, _ in adj] for adj in self.down_adj])
 
-    def _check_shape(self):
-        minimal = [i for i in range(self.n)
-                   if not self.down_adj[i] and i != self.top]
-        if self.n > 1 and (len(minimal) != 1 or minimal[0] != self.zero):
-            raise InputError("poset needs a unique minimal element")
-        covered = {lo for _, lo, _, _ in self.covers}
-        orphan = [i for i in range(self.n)
-                  if i not in covered and i != self.top]
-        if orphan:
-            raise InputError("element neither covered nor the top")
+    @property
+    def covers(self):
+        """Every cover (up, lo, rank, label), sorted by (up, lo)."""
+        return [(up, lo, rank, label) for up, adj in enumerate(self.down_adj)
+                for lo, rank, label in sorted(adj)]
 
     def __eq__(self, other):
         return (isinstance(other, LabeledPoset) and self.n == other.n
                 and self.top == other.top and self.zero == other.zero
-                and self.lengths == other.lengths and self.covers == other.covers
-                and self.names == other.names)
+                and self.lengths == other.lengths and self.names == other.names
+                and self.down_adj == other.down_adj)
 
     def leq(self, i, j):
         return bool(self.down[j] >> i & 1)
@@ -311,13 +314,10 @@ class LabeledPoset:
             keep |= self.down[c]
         keep_ids = sorted(_bits_iter(keep)) + [self.top]
         remap = {old: i for i, old in enumerate(keep_ids)}
-        covers = []
-        for up, lo, rank, label in self.covers:
-            if up == self.top:
-                if lo in chosen:
-                    covers.append((remap[self.top], remap[lo], rank, label))
-            elif up in remap and lo in remap:
-                covers.append((remap[up], remap[lo], rank, label))
+        covers = ((remap[up], remap[lo], rank, label)
+                  for up, adj in enumerate(self.down_adj) if up in remap
+                  for lo, rank, label in adj
+                  if lo in remap and (up != self.top or lo in chosen))
         return LabeledPoset(len(keep_ids), remap[self.top], remap[self.zero],
                             [self.lengths[i] for i in keep_ids], covers,
                             [self.names[i] for i in keep_ids])

@@ -591,6 +591,42 @@ def test_repair_loop_needs_a_simple_K_root_in_the_defect(monkeypatch):
     assert calls == [3]
 
 
+def test_separating_functional_must_match_the_classes(monkeypatch, gl3_case):
+    # the last root of the order gets the key of its negative, so the sign of
+    # its leading entry no longer says its class
+    order_keys = labeling._order_keys
+
+    def flip_one(datum, S, P, D):
+        key = order_keys(datum, S, P, D)
+        last = max(S, key=key.__getitem__)
+        key[last] = tuple(-c for c in key[last])
+        return key
+
+    monkeypatch.setattr(labeling, "_order_keys", flip_one)
+    with pytest.raises(PropertyViolation,
+                       match="separating functional misclassifies"):
+        build_label_order(gl3_case[0])
+
+
+def test_one_label_order_classifies_each_root_once(monkeypatch, gl3_case):
+    make = labeling.make_classifier
+    calls = []
+
+    def counting(datum, K, phi_K=None):
+        classify = make(datum, K, phi_K)
+
+        def counted(ar):
+            calls.append(ar)
+            return classify(ar)
+
+        return counted
+
+    monkeypatch.setattr(labeling, "make_classifier", counting)
+    order = build_label_order(gl3_case[0])
+    assert len(calls) == len(order.roots)
+    assert set(calls) == set(order.roots)
+
+
 def test_violations_through_same_root_pairs_only():
     # (a,0) < (a,3) < (a,2) < (a,1): the levels between two levels of one
     # root fall outside them, and no other pair kind exists

@@ -9,7 +9,7 @@ from admshell import (InputError, acute_presentations, adm_membership,
                       build_root_datum)
 from admshell.affine import AffineElement
 from admshell.exact import solve_linear
-from admshell.rootdata import AffineRoot, _is_finite_type
+from admshell.rootdata import AffineRoot, RootDatum, _is_finite_type
 from conftest import MATRIX, datum
 
 
@@ -364,6 +364,34 @@ def test_a0_is_ambiguous_for_products():
     d = build_root_datum("A1xA1")
     with pytest.raises(InputError, match="a0 is ambiguous for products"):
         d.parse_affine_token(" a0 ")
+
+
+@pytest.mark.parametrize("spec, roots, coroots, rank", [
+    ("A1xA1", ((2, 0), (0, 2)), ((1, 0), (0, 1)), 2),
+    ("A1xGL2", ((2, 0, 0), (0, 1, -1)), ((1, 0, 0), (0, 1, -1)), 3),
+    ("A1xA1xA1", ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+     ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3),
+])
+def test_a_product_spec_builds_one_datum(monkeypatch, spec, roots, coroots,
+                                          rank):
+    init = RootDatum.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RootDatum, "__init__", counted)
+    d = build_root_datum(spec)
+    assert len(calls) == 1
+    assert (d.simple_roots, d.simple_coroots) == (roots, coroots)
+    assert (d.name, d.rank) == (spec, rank)
+
+
+@pytest.mark.parametrize("spec", ["A0xA1", "A1xA0", "A0xFoo"])
+def test_an_empty_product_factor_is_rejected(spec):
+    with pytest.raises(InputError, match="simple_roots must be a non-empty"):
+        build_root_datum(spec)
 
 
 @pytest.mark.parametrize("spec", ["x", "A1x", "xA1", "A1xx", "A1xFoo",

@@ -20,12 +20,20 @@ def neg(v):
     return tuple(-x for x in v)
 
 
-def test_two_covers_of_one_element_may_not_share_a_label():
-    covers = [(3, 1, 0, "a"), (3, 2, 1, "b"), (1, 0, 2, "c"), (2, 0, 3, "d")]
-    assert LabeledPoset(4, 3, 0, [0, 1, 1, 2], covers).leq(0, 3)
-    covers[1] = (3, 2, 0, "a")
-    with pytest.raises(InputError, match="two covers of one element share "
-                                         "a label"):
+# the diamond 0 < 1, 2 < 3 passes the four shape checks; each case breaks one
+DIAMOND = [(3, 1, 0, "a"), (3, 2, 1, "b"), (1, 0, 2, "c"), (2, 0, 3, "d")]
+
+
+@pytest.mark.parametrize("covers, message", [
+    (DIAMOND[:1] + [(3, 2, 0, "a")] + DIAMOND[2:],
+     "two covers of one element share a label"),
+    (DIAMOND + [(3, 0, 4, "e")], "cover with a length gap"),
+    (DIAMOND[:3], "poset needs a unique minimal element"),
+    (DIAMOND[:1] + DIAMOND[2:], "element neither covered nor the top"),
+], ids=["shared-label", "length-gap", "two-minima", "orphan"])
+def test_bad_cover_tables_are_input_errors(covers, message):
+    assert LabeledPoset(4, 3, 0, [0, 1, 1, 2], DIAMOND).leq(0, 3)
+    with pytest.raises(InputError, match=message):
         LabeledPoset(4, 3, 0, [0, 1, 1, 2], covers)
 
 
@@ -154,10 +162,11 @@ def reference_verify_dual_el(lp):
 
 
 @st.composite
-def labeled_graded_posets(draw):
-    """Random labeled graded poset with bottom 0 and top n-1.  The covers of
-    one element get distinct ranks from 0..5, so equal ranks on consecutive
-    edges of a chain occur."""
+def labeled_graded_covers(draw):
+    """(n, lengths, covers) of a random labeled graded poset with bottom 0
+    and top n-1, the covers in random order.  The covers of one element get
+    distinct ranks from 0..5, so equal ranks on consecutive edges of a chain
+    occur."""
     sizes = [1] + draw(st.lists(st.integers(1, 3), max_size=4)) + [1]
     levels, n = [], 0
     for size in sizes:
@@ -178,7 +187,12 @@ def labeled_graded_posets(draw):
                                   max_size=len(lower[i])))
             covers += [(i, j, r, f"r{r}")
                        for j, r in zip(sorted(lower[i]), ranks)]
-    return LabeledPoset(n, n - 1, 0, lengths, covers)
+    return n, lengths, draw(st.permutations(covers))
+
+
+def labeled_graded_posets():
+    return labeled_graded_covers().map(
+        lambda case: LabeledPoset(case[0], case[0] - 1, 0, *case[1:]))
 
 
 @settings(deadline=None, max_examples=300)
@@ -188,9 +202,16 @@ def test_verify_dual_el_matches_chain_oracle(lp):
 
 
 @settings(deadline=None, max_examples=300)
-@given(labeled_graded_posets())
-def test_verify_dual_el_matches_reference(lp):
+@given(labeled_graded_covers())
+def test_verify_dual_el_matches_reference(case):
+    n, lengths, covers = case
+    lp = LabeledPoset(n, n - 1, 0, lengths, covers)
     assert lp.verify_dual_el() == reference_verify_dual_el(lp)
+    # down_adj is the one cover table: covers is read off it, and the input
+    # may come in any order, or as a generator
+    assert lp.covers == sorted(covers, key=lambda c: (c[0], c[1]))
+    assert LabeledPoset(n, n - 1, 0, lengths, (c for c in covers)) == lp
+    assert "covers" not in vars(lp)
 
 
 def ncm_oracle(lp):
