@@ -236,10 +236,25 @@ class LabeledPoset:
         return True
 
     def recursive_coatom_check(self):
+        """(ok, coatom names): whether the label order, with the covers that
+        meet earlier siblings put first, is a recursive coatom ordering.
+
+        A state (x, first) orders the lower covers of x as those at the
+        positions in first (bits of positions in down_adj[x]), then the
+        rest, each part in label order; it passes iff each cover meets the
+        earlier ones in a pure ideal and its own state passes.  A prefix
+        first (positions 0..k-1) gives the label order itself, as first = 0
+        does, so it is keyed as 0 and x gets one state wherever the label
+        order serves it.  The memo's provisional True is safe: a state
+        recurses only to covers strictly below x, and a poset has no cycles,
+        so no state meets itself before its verdict is stored.
+        """
         down_adj = self.down_adj
         memo = {}
 
         def attempt(top_el, first):
+            if not first & (first + 1):  # a prefix orders as the label order
+                first = 0
             key = (top_el, first)
             got = memo.get(key)
             if got is not None:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -537,16 +538,70 @@ def test_ncm_examples(gl3_case):
     assert chain.ncm_check()
 
 
-def test_dual_el_implies_coatom_and_ncm():
+def dual_el_rows():
+    """Labeled posets at the regular coweight of A2 and B2, several K."""
+    out = []
     for name, K in [("A2", ()), ("A2", ("a1",)), ("B2", ("a2",))]:
         d = datum(name)
         mu = tuple(sum(av[i] for av in d.simple_coroots)
                    for i in range(d.rank))
-        poset, order, lp = pipeline(name, mu, canonical_K(d, K))
+        out.append(pipeline(name, mu, canonical_K(d, K))[2])
+    return out
+
+
+def test_dual_el_implies_coatom_and_ncm():
+    for lp in dual_el_rows():
         assert lp.verify_dual_el()["status"] == "PASS"
         ok, _ = lp.recursive_coatom_check()
         assert ok
         assert lp.ncm_check()
+
+
+def coatom_states(lp, monkeypatch):
+    """(verdict, the ids list of each _in_order call) of one coatom check."""
+    calls = []
+    real = LabeledPoset._in_order
+
+    def spy(self, ids, step):
+        calls.append(tuple(ids))
+        return real(self, ids, step)
+
+    with monkeypatch.context() as m:
+        m.setattr(LabeledPoset, "_in_order", spy)
+        return lp.recursive_coatom_check(), calls
+
+
+def label_lists(lp):
+    """How many elements have each tuple of lower covers in label order."""
+    return collections.Counter(tuple(lo for lo, _, _ in adj)
+                               for adj in lp.down_adj)
+
+
+def test_coatom_check_one_state_per_element_on_pass_rows(gl3_case,
+                                                         monkeypatch):
+    # a prefix first orders the covers as first = 0 does and shares its
+    # state, so on a PASS row each element is ordered at most once, and in
+    # label order
+    for lp in [gl3_case[2]] + dual_el_rows():
+        (ok, _), calls = coatom_states(lp, monkeypatch)
+        assert ok
+        expected = label_lists(lp)
+        seen = collections.Counter(calls)
+        assert all(seen[ids] <= expected[ids] for ids in seen)
+        assert len(calls) <= lp.n
+
+
+def test_coatom_check_non_prefix_first_keeps_its_state(gl3_case,
+                                                       monkeypatch):
+    # covers met by earlier siblings out of label order come first, an
+    # ordering of their own
+    scrambled = 0
+    for lp in scrambled_posets(gl3_case):
+        got, calls = coatom_states(lp, monkeypatch)
+        assert got == reference_recursive_coatom_check(lp)
+        expected = label_lists(lp)
+        scrambled += sum(ids not in expected for ids in calls)
+    assert scrambled
 
 
 def test_ideal_restriction_gl3(gl3_case):
