@@ -3,7 +3,8 @@
 The poset holds the minimal coset representatives below the extreme
 translations, together with a formal top element.  It is found by descending
 through the full (unquotiented) admissible set, whose elements are kept in
-``full_elements``; their covers are not kept.
+``full_elements``; of its covers only those below the extreme translations
+are kept (``translation_covers``).
 """
 
 from collections import namedtuple
@@ -13,7 +14,7 @@ from .errors import InputError, PropertyViolation
 from .exact import vec_sub
 from .affine import (AffineElement, acute_presentation_K, affine_word,
                      covers_down)
-from .labeling import format_label, make_classifier
+from .labeling import format_label
 from .shellcheck import closure_bits
 
 
@@ -87,6 +88,8 @@ class AdmissiblePoset:
                     full_covers[u] = None
                     queue.append(u)
         self.full_elements = sorted(full_covers, key=lambda w: w.key())
+        self.translation_covers = {t: {u for u, _ in full_covers[t]}
+                                   for _, t in extreme}
 
         members = [w for w in self.full_elements if w.is_min_rep(K)]
         self.elements = members
@@ -107,27 +110,19 @@ class AdmissiblePoset:
         self._wk_image = None
 
     def _verify_shape(self):
-        n = len(self.elements)
-        height = self.datum.pairing(self.mu, self.datum.two_rho)
-        has_lower = [False] * n
-        has_upper = [False] * n
-        for up, lo, _ in self.covers:
-            if up != self.top:
-                has_lower[up] = True
-                has_upper[lo] = True
-                if self.elements[up].length != self.elements[lo].length + 1:
-                    raise PropertyViolation("cover with a length gap")
-        minimal = [i for i in range(n) if not has_lower[i]]
-        if len(minimal) != 1 or self.elements[minimal[0]].length != 0:
+        length = [w.length for w in self.elements]
+        inner = [(up, lo) for up, lo, _ in self.covers if up != self.top]
+        if any(length[up] != length[lo] + 1 for up, lo in inner):
+            raise PropertyViolation("cover with a length gap")
+        minimal = set(range(self.top)).difference(up for up, _ in inner)
+        if len(minimal) != 1 or length[min(minimal)] != 0:
             raise PropertyViolation("expected a unique length-zero minimum")
-        self.tau_id = minimal[0]
-        top_covered = set(self.maximal_ids)
-        for i in range(n):
-            if not has_upper[i] and i not in top_covered:
-                raise PropertyViolation("non-extreme element with no upper cover")
-        for m in self.maximal_ids:
-            if self.elements[m].length != height:
-                raise PropertyViolation("extreme translation of wrong length")
+        self.tau_id = minimal.pop()
+        if len({lo for _, lo in inner}.union(self.maximal_ids)) != self.top:
+            raise PropertyViolation("non-extreme element with no upper cover")
+        height = self.datum.pairing(self.mu, self.datum.two_rho)
+        if any(length[m] != height for m in self.maximal_ids):
+            raise PropertyViolation("extreme translation of wrong length")
 
     # -- order queries -------------------------------------------------------
 
@@ -270,31 +265,24 @@ def compute_sigma(poset, w):
                      sigma_w_JK=sigma_w_JK, a_min_K=a_min_K)
 
 
-def top_two_layer_report(poset):
+def top_two_layer_report(poset, order, sigma):
     """Check the description of the next-to-top layer; report per element.
 
-    The label on each minimal-gateway cover must be a class-2 root; any failed
-    claim raises PropertyViolation.
+    sigma[i] is compute_sigma(poset, poset.elements[i]).  The label on each
+    minimal-gateway cover must be a class-2 root of order; any failed claim
+    raises PropertyViolation.
     """
-    classify = make_classifier(poset.datum, poset.K)
     d = poset.datum
-    W = d.weyl_group()
-    qbg = d.qbg()
     height = d.pairing(poset.mu, d.two_rho)
     report = []
-    below, pool = {}, {}
-    for a in poset.WJ:
-        t = poset.translation_of(a)
-        below[t] = {u for u, _ in covers_down(t, pool)}
     gate_id = dict(zip(poset.WJK, poset.maximal_ids))
     label = {(up, lo): ar for up, lo, ar in poset.covers if up != poset.top}
-    for w in poset.elements:
+    for w, sd in zip(poset.elements, sigma, strict=True):
         if w.length != height - 1:
             continue
-        pres = acute_presentation_K(w, poset.K)
-        z1 = pres.x
-        z2 = pres.y.inverse()
-        dist, wt = qbg.distance_and_weight(z1, z2)
+        pres, a_min = sd.presentation, sd.a_min_K
+        z1, z2 = pres.x, pres.y.inverse()
+        dist, wt = d.qbg().distance_and_weight(z1, z2)
         _require(dist == 1, w, "next-to-top element without a graph edge")
         _require(tuple(pres.lam) == vec_sub(poset.mu, wt), w,
                  "translation part off by the edge weight")
@@ -305,16 +293,15 @@ def top_two_layer_report(poset):
             _require(not d.root_support(beta) <= set(poset.J), w,
                      "edge weight lies in the J-span")
         # w and t differ in length by one, so w <= t iff t covers w
-        above = [t for t, us in below.items() if w in us]
+        above = [t for t, us in poset.translation_covers.items() if w in us]
         expect = {poset.translation_of(z1), poset.translation_of(z2)}
         _require(set(above) == expect and len(expect) == 2, w,
                  "covering translations are not the expected two")
-        a_min = _unique_min(W, _gateways(poset, w), "gateway set", w)
         # w <= t_min and their lengths differ by one: the poset has the cover
         ar = label.get((gate_id[a_min], poset.index[w]))
         _require(ar is not None, w, "no cover down from the minimal gateway's "
                  "translation")
-        _require(classify(ar) == 2, w,
+        _require(order.root_class[ar] == 2, w,
                  "minimal-gateway label failed its class check")
         report.append({
             "element": w.name(),

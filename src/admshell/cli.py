@@ -150,9 +150,8 @@ def cmd_verify(args):
         # (perfbench/spans.py) wraps these two functions as attributes of
         # admissible, and a module-level import would bind the unwrapped ones
         from .admissible import compute_sigma, top_two_layer_report
-        for w in poset.elements:
-            compute_sigma(poset, w)
-        out["top_two"] = top_two_layer_report(poset)
+        sigma = [compute_sigma(poset, w) for w in poset.elements]
+        out["top_two"] = top_two_layer_report(poset, order, sigma)
         # build_label_order has run order.check(), which raises on any
         # violation, so none is left to list
         out["label_order_violations"] = []

@@ -12,9 +12,21 @@ reduced word, and both are set while the group is generated.  The Bruhat
 order is decided by the lifting property along the word, with no table.
 """
 
+from collections import Counter
+from math import prod
 from operator import itemgetter
 
 from .errors import InputError
+
+# the largest group order generated; E6 (51,840) and A8 (362,880) fit
+MAX_ORDER = 10 ** 6
+
+
+def group_order(datum):
+    """|W| = prod(m_i + 1) over the exponents, with no element built: the
+    number of exponents >= k is the number of positive roots of height k."""
+    h = Counter(sum(c) for c in datum.root_coords[:datum.num_positive])
+    return prod((k + 1) ** (h[k] - h[k + 1]) for k in h)
 
 
 def _reflect_along(word, v, pair, shift):
@@ -88,6 +100,10 @@ class WeylElement:
 
 class WeylGroup:
     def __init__(self, datum):
+        order = group_order(datum)
+        if order > MAX_ORDER:
+            raise InputError(f"the Weyl group of {datum.name} has order "
+                             f"{order}, above the limit of {MAX_ORDER}")
         self.datum = datum
         self.simple_idx = tuple(datum.root_index[a]
                                 for a in datum.simple_roots)

@@ -243,8 +243,10 @@ def test_09_top_two_layers():
     t0 = time.perf_counter()
     count = 0
     for name, mu, K in matrix_entries():
-        poset, _, _ = pipeline(name, mu, K)
-        report = top_two_layer_report(poset)  # raises on any failed claim
+        poset, order, _ = pipeline(name, mu, K)
+        sigma = [compute_sigma(poset, w) for w in poset.elements]
+        # raises on any failed claim
+        report = top_two_layer_report(poset, order, sigma)
         height = poset.datum.pairing(mu, poset.datum.two_rho)
         expect = sum(1 for w in poset.elements if w.length == height - 1)
         assert len(report) == expect

@@ -10,6 +10,7 @@ from admshell.admissible import (_unique_min, canonical_K, double_coset_reps,
                                  is_spherical)
 from admshell.affine import (acute_presentations, affine_reflection,
                              bruhat_leq, covers_down, simple_reflection)
+from admshell import cli
 from admshell.cli import _parse_mu
 from admshell.rootdata import AffineRoot
 from conftest import (affine_ball, datum, dominant_mus, matrix_entries,
@@ -265,9 +266,14 @@ def test_unique_min_least_element_and_failures():
         assert str(err.value).startswith(w.name())
 
 
+def _top_two(poset, order):
+    sigma = [compute_sigma(poset, w) for w in poset.elements]
+    return top_two_layer_report(poset, order, sigma)
+
+
 def test_top_two_gl3(gl3_case):
-    poset, _, _ = gl3_case
-    report = top_two_layer_report(poset)
+    poset, order, _ = gl3_case
+    report = _top_two(poset, order)
     assert {r["element"] for r in report} == {"t[0,1,0] s2", "t[1,0,0] s1"}
     for r in report:
         assert len(r["covering_translations"]) == 2
@@ -278,7 +284,7 @@ def test_top_two_a1_regular():
     d = datum("A1")
     mu = d.simple_coroots[0]
     poset = build_admissible(d, mu, ())
-    report = top_two_layer_report(poset)
+    report = _top_two(poset, build_label_order(poset))
     assert len(report) == 2  # both length-one elements sit below the top layer
     for entry in report:
         assert set(entry["covering_translations"]) == {"t[1]", "t[-1]"}
@@ -296,7 +302,7 @@ def test_top_two_covering_translations_match_bruhat_leq(name, basis, mu, K):
         mu = tuple(sum(c * av[i] for c, av in zip(mu, d.simple_coroots))
                    for i in range(d.rank))
     poset = build_admissible(d, mu, K)
-    report = top_two_layer_report(poset)
+    report = _top_two(poset, build_label_order(poset))
     height = d.pairing(mu, d.two_rho)
     by_name = {w.name(): w for w in poset.elements}
     translations = [poset.translation_of(a) for a in poset.WJ]
@@ -311,18 +317,18 @@ def test_top_two_covering_translations_match_bruhat_leq(name, basis, mu, K):
 def test_gateway_labels_match_the_reference_reflection_root():
     # the report reads each label off the poset's cover t_min -> w; the
     # reflection w^-1 t_min, decoded by the reference formula, is the oracle
-    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()]
+    posets = [pipeline(name, mu, K)[:2] for name, mu, K in matrix_entries()]
     for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
                                ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
         d = datum(name)
-        posets.append(build_admissible(d, _parse_mu(d, mu, basis),
-                                       K.split(",")))
+        poset = build_admissible(d, _parse_mu(d, mu, basis), K.split(","))
+        posets.append((poset, build_label_order(poset)))
     rows = 0
-    for poset in posets:
+    for poset, order in posets:
         d = poset.datum
         by_name = {w.name(): w for w in poset.elements}
         by_word = {a.word_str(): a for a in poset.WJK}
-        for row in top_two_layer_report(poset):
+        for row in _top_two(poset, order):
             w = by_name[row["element"]]
             t_min = poset.translation_of(by_word[row["gateway"]])
             ar = reference_reflection_root(d, w.inverse() * t_min)
@@ -330,6 +336,69 @@ def test_gateway_labels_match_the_reference_reflection_root():
             assert row["gateway_label"] == d.format_affine(ar)
             rows += 1
     assert len(posets) == 398 and rows == 1024
+
+
+def _gl3_poset():
+    # a fresh poset, since the tampering tests edit it
+    return build_admissible(datum("GL3"), (1, 0, 0), ["a1"])
+
+
+def _add_length_gap(poset):
+    # a maximum (length 2) covering the length-0 minimum
+    poset.covers.append((poset.maximal_ids[0], poset.tau_id, poset.covers[0][2]))
+
+
+def _drop_covers_of_the_minimum(poset):
+    poset.covers = [c for c in poset.covers if c[1] != poset.tau_id]
+
+
+def _drop_a_maximum(poset):
+    poset.maximal_ids.pop()
+
+
+def _double_mu(poset):
+    poset.mu = tuple(2 * c for c in poset.mu)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_add_length_gap, "cover with a length gap"),
+    (_drop_covers_of_the_minimum, "expected a unique length-zero minimum"),
+    (_drop_a_maximum, "non-extreme element with no upper cover"),
+    (_double_mu, "extreme translation of wrong length"),
+])
+def test_verify_shape_names_each_broken_invariant(tamper, message):
+    poset = _gl3_poset()
+    poset._verify_shape()
+    tamper(poset)
+    with pytest.raises(PropertyViolation) as err:
+        poset._verify_shape()
+    assert str(err.value) == message
+
+
+def test_broken_shape_exits_1(capsys, monkeypatch):
+    real = cli.build_admissible
+
+    def tampered(datum, mu, K):
+        poset = real(datum, mu, K)
+        _double_mu(poset)
+        poset._verify_shape()
+        return poset
+
+    monkeypatch.setattr(cli, "build_admissible", tampered)
+    code = cli.main(["verify", "--datum", "GL3", "--mu", "1,0,0", "--K", "a1"])
+    assert code == 1
+    assert capsys.readouterr().err == ("property violation: extreme "
+                                       "translation of wrong length\n")
+
+
+def test_label_edges_rejects_a_non_positive_cover_label():
+    poset = _gl3_poset()
+    order = build_label_order(poset)
+    up, lo, ar = poset.covers[0]
+    poset.covers[0] = (up, lo, -ar)
+    with pytest.raises(InputError) as err:
+        label_edges(poset, order)
+    assert str(err.value) == "cover carries a non-positive affine root"
 
 
 def test_double_coset_reps_match_the_full_product_set():

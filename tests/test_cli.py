@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admshell import admissible, cli
+from admshell import admissible, cli, labeling
 from admshell.cli import main
 
 
@@ -517,3 +518,52 @@ def test_full_check_failure_names_the_element(capsys, monkeypatch):
     assert code == 1
     assert err == (f"property violation: {target}: poset element below no "
                    f"extreme translation\n")
+
+
+def test_full_check_derives_each_gateway_fact_once(capsys, monkeypatch):
+    # one descent per element of the full admissible set, one acute
+    # presentation per poset element, one K-subsystem per label order plus
+    # the one its construction needs; the top-two report reads the rest
+    from conftest import datum
+
+    poset = admissible.build_admissible(datum("GL3"), (1, 0, 0), ["a1"])
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(admissible, "covers_down"),
+                         (admissible, "acute_presentation_K"),
+                         (labeling, "subsystem_positive")]:
+        count(module, name)
+    code, _, _ = run(capsys, "verify", "--datum", "GL3", "--mu", "1,0,0",
+                     "--K", "a1", "--check", "full")
+    assert code == 0
+    assert (len(poset.full_elements), len(poset.elements)) == (7, 5)
+    assert calls == {"covers_down": len(poset.full_elements),
+                     "acute_presentation_K": len(poset.elements),
+                     "subsystem_positive": 2}
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("admshell ")]
+
+
+def test_readme_cli_block_has_ten_commands():
+    assert len(_readme_cli_lines()) == 10
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_lines_exit_0(capsys, line):
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out and not err

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from admshell import InputError
+from admshell import InputError, build_root_datum, weyl
+from admshell.cli import main
+from admshell.weyl import group_order
 from conftest import datum
 from weyl_reference import MatrixWeylGroup
 
@@ -13,6 +15,53 @@ ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12, "GL3": 6, "A1xA1": 4}
 @pytest.mark.parametrize("name,order", sorted(ORDERS.items()))
 def test_group_orders(name, order):
     assert len(datum(name).weyl_group()) == order
+
+
+# every datum whose Weyl group the tests build
+TESTED_DATA = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2",
+               "GL2", "GL3", "GL4", "A1xA1", "A3-adjoint", "B2-adjoint",
+               "B3-adjoint", "C3-adjoint", "D4-adjoint", "B4-adjoint", "F4",
+               "E6"]
+
+
+@pytest.mark.parametrize("name", TESTED_DATA)
+def test_group_order_formula_matches_the_generated_group(name):
+    d = datum(name)
+    assert group_order(d) == len(d.weyl_group())
+
+
+def _simply_laced(n, edges):
+    """Explicit datum with simple roots e_i and a symmetric Cartan matrix."""
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return build_root_datum({"simple_roots": units, "simple_coroots": cartan})
+
+
+# Bourbaki labels less one: the chain 1-3-4-5-6-7(-8) with 2 attached to 4
+E7_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]
+
+
+def test_group_order_of_groups_above_the_bound():
+    # orders only: none of these groups is generated
+    orders = {"A8": 362_880, "A9": 3_628_800, "A10": 39_916_800}
+    for name, order in orders.items():
+        assert group_order(build_root_datum(name)) == order
+    assert group_order(_simply_laced(7, E7_EDGES)) == 2_903_040
+    assert group_order(_simply_laced(8, E7_EDGES + [(6, 7)])) == 696_729_600
+    assert orders["A8"] <= weyl.MAX_ORDER < orders["A9"]
+
+
+def test_group_above_the_bound_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(weyl, "MAX_ORDER", 5)
+    d = build_root_datum("A2")
+    with pytest.raises(InputError, match="A2 has order 6, above the limit "
+                                         "of 5"):
+        d.weyl_group()
+    assert main(["qbg", "--datum", "A2"]) == 2
+    assert capsys.readouterr().err == ("error: the Weyl group of A2 has order "
+                                       "6, above the limit of 5\n")
 
 
 def test_multiply_invert_apply():
