@@ -108,6 +108,7 @@ class AdmissiblePoset:
         self.covers.sort(key=lambda c: (c[0], c[1]))
         self._verify_shape()
         self._wk_image = None
+        self._coset_min = {}        # z -> W.min_coset_rep(z, J)
 
     def _verify_shape(self):
         length = [w.length for w in self.elements]
@@ -149,6 +150,14 @@ class AdmissiblePoset:
             self._wk_image = W.subgroup([W.reflection(ar.root)
                                          for ar in self.K])
         return self._wk_image
+
+    def coset_min(self, z):
+        """W.min_coset_rep(z, J): one coset walk per element of W."""
+        a = self._coset_min.get(z)
+        if a is None:
+            W = self.datum.weyl_group()
+            a = self._coset_min[z] = W.min_coset_rep(z, self.J)
+        return a
 
     def translation_of(self, a):
         return AffineElement.translation_of(self.datum,
@@ -199,14 +208,25 @@ def _require(ok, w, what):
 def _unique_min(W, elems, what, w):
     """The least element of elems, which must have one.
 
-    A finite poset has one minimal element iff it has a least element, and
-    in the length order of W.elements only the first member can be it.
+    In the length order of W.elements only the first member can be least.
+    Bruhat order on W is graded and is the transitive closure of the covers
+    z -> z*s_a, the QBG's upward edges, so the elements above z of length
+    l(z) + k are the k-th layer of an upward search from z.  That member is
+    least iff the layers meet every other member; the search stops once they
+    have, and never climbs past the longest member.
     """
     _require(elems, w, f"{what} is empty")
-    z = min(elems, key=W.index.__getitem__)
-    _require(all(W.bruhat_leq(z, x) for x in elems), w,
-             f"{what} has no least element")
-    return z
+    ids = {W.index[z] for z in elems}
+    z = min(ids)
+    left, layer = len(ids) - 1, {z}
+    up = W.datum.qbg().up
+    for _ in range(W.elements[max(ids)].length - W.elements[z].length):
+        if not left:
+            break
+        layer = {b for a in layer for b in up[a]}
+        left -= len(ids.intersection(layer))
+    _require(not left, w, f"{what} has no least element")
+    return W.elements[z]
 
 
 def _gateways(poset, w):
@@ -218,42 +238,59 @@ def _gateways(poset, w):
 
 def double_coset_reps(poset, z):
     """The elements of W^J in W_K z W_J, one per left coset p z W_J."""
-    W = poset.datum.weyl_group()
-    return {W.min_coset_rep(p * z, poset.J) for p in poset.wk_image()}
+    return {poset.coset_min(p * z) for p in poset.wk_image()}
 
 
 def compute_sigma(poset, w):
-    """Gateway data for one poset element: Sigma_w, z_min, a_min^K."""
+    """Gateway data for one poset element: Sigma_w, z_min, a_min^K.
+
+    The cone tests run in simple-coroot coordinates: mu - lam is converted
+    once, each QBG weight once per datum, and a weight fits under the gap
+    iff no coordinate exceeds the gap's.
+    """
     d = poset.datum
     W = d.weyl_group()
     qbg = d.qbg()
     pres = acute_presentation_K(w, poset.K)
-    gap = vec_sub(poset.mu, pres.lam)
+    gap = d.coroot_coords(vec_sub(poset.mu, pres.lam))
 
-    sigma_w, reach = [], []
-    for z, w1, w2 in zip(W.elements, qbg.weights(pres.x),
-                         qbg.weights(pres.y.inverse(), into=True)):
-        rest = vec_sub(gap, w1)
-        if d.in_coroot_cone(rest):
-            reach.append(z)
-        if d.in_coroot_cone(vec_sub(rest, w2)):
-            sigma_w.append(z)
-    z_min = _unique_min(W, reach, "{z : wt(x,z) <= mu - lam}", w)
-    # QBG weights lie in the coroot cone, so Sigma_w is inside reach
+    reach, sigma_w = [], []
+    if gap is not None:     # else no coroot combination reaches the gap
+        wx, fits = qbg.weights(pres.x), {}
+        for k, w1 in enumerate(wx):
+            ok = fits.get(w1)
+            if ok is None:
+                c1 = d.coroot_coords(w1)
+                ok = fits[w1] = all(g >= c for g, c in zip(gap, c1))
+            if ok:
+                reach.append(k)
+        # QBG weights lie in the coroot cone, so Sigma_w is inside reach
+        wy, both = qbg.weights(pres.y.inverse(), into=True), {}
+        for k in reach:
+            pair = wx[k], wy[k]
+            ok = both.get(pair)
+            if ok is None:
+                c1, c2 = map(d.coroot_coords, pair)
+                ok = both[pair] = all(g >= a + b
+                                      for g, a, b in zip(gap, c1, c2))
+            if ok:
+                sigma_w.append(W.elements[k])
+    z_min = _unique_min(W, [W.elements[k] for k in reach],
+                        "{z : wt(x,z) <= mu - lam}", w)
     _require(z_min in sigma_w, w, "Sigma_w does not contain z_min")
 
     sigma_w_JK = _gateways(poset, w)
     _require(sigma_w_JK, w, "poset element below no extreme translation")
 
     # iterative gateway search: walk K-descents of the candidate translation
-    a = W.min_coset_rep(z_min, poset.J)
+    a = poset.coset_min(z_min)
     for _ in range(len(W) + 1):
         t = poset.translation_of(a)
         bad = next((ar for ar in poset.K
                     if not d.is_positive_affine(t.act(ar))), None)
         if bad is None:
             break
-        a = W.min_coset_rep(W.reflection(bad.root) * a, poset.J)
+        a = poset.coset_min(W.reflection(bad.root) * a)
     _require(bad is None, w, "gateway search failed to terminate")
     a_min_K = a
 

@@ -250,17 +250,22 @@ class AcutePresentation:
                 f"{self.y.word_str()})")
 
 
-def _acute_pairs(w):
-    """(x, y) with w = x t^lam y acute, y over W_0 in (length, word) order.
+def _acute_pairs(w, cols=()):
+    """(x, y) with w = x t^lam y acute and y(roots[i]) < 0 for i in cols,
+    y over W_0 in (length, word) order.
 
     For w = t^nu z, x = z y^-1 and lam = x^-1 nu, so <lam, a_i> = <nu, x a_i>
     is a lookup in nu's pairing row, and no lam is formed for a rejected y.
+    The columns of y in cols are read before x is formed.
     """
     npos = w.datum.num_positive
     row = w.datum.pairing_row(w.translation)
     for y in w.datum.weyl_group():
-        x = w.finite * y.inverse()
-        xp, yp = x.perm, y.inverse().perm
+        if any(y.perm[i] < npos for i in cols):
+            continue
+        yinv = y.inverse()
+        x = w.finite * yinv
+        xp, yp = x.perm, yinv.perm
         if all((xp[i] >= npos) + row[xp[i]] >= (yp[i] >= npos)
                for i in range(npos)):
             yield x, y
@@ -283,10 +288,11 @@ def acute_presentation_K(w, K):
     if not w.is_min_rep(K):
         raise InputError("element is not a minimal coset representative for K")
     cols = [d.root_index[ar.root] for ar in K]
-    for x, y in _acute_pairs(w):
-        if all(y.perm[i] >= d.num_positive for i in cols):
-            return _presentation(w, x, y)
-    raise PropertyViolation(f"no K-compatible acute presentation of {w.name()}")
+    pair = next(_acute_pairs(w, cols), None)
+    if pair is None:
+        raise PropertyViolation(
+            f"no K-compatible acute presentation of {w.name()}")
+    return _presentation(w, *pair)
 
 
 def bruhat_leq_via_wt(pres, w2):

@@ -10,6 +10,7 @@ down-up or an up-down path.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import PropertyViolation
 from .exact import vec_add
@@ -51,6 +52,11 @@ class QuantumBruhatGraph:
         self._dist, self._wt = [None] * n, [None] * n
         w0 = self.group.longest_element()
         self._mirror = [self.group.index[w0 * w] for w in self.group.elements]
+
+    @cached_property
+    def up(self):
+        """The targets of each vertex's upward edges, its Bruhat covers."""
+        return [tuple(e.dst for e in es if not e.quantum) for es in self.out]
 
     def _idx(self, w):
         return w if isinstance(w, int) else self.group.index[w]

@@ -14,6 +14,7 @@ from math import lcm
 
 from .errors import InputError
 from .exact import dot, solve_linear, vec_neg, vec_sub
+from . import weyl
 from .weyl import WeylGroup
 from .qbg import QuantumBruhatGraph
 
@@ -144,9 +145,15 @@ class RootDatum:
         if not _is_finite_type(self.cartan):
             raise InputError(f"Cartan matrix {[list(r) for r in self.cartan]} "
                              "is not of finite type")
+        # every exponent is at least 1, so |W| >= 2^nsimple: a group too
+        # large to generate is rejected before its roots are
+        if 2 ** self.nsimple > weyl.MAX_ORDER:
+            raise InputError(f"the Weyl group of {name} has order at least "
+                             f"2^{self.nsimple}, above the limit of "
+                             f"{weyl.MAX_ORDER}")
         self._build_roots()
         self._build_components()
-        self._cone = {}
+        self._coords = {}
         self._pair_table = {}
         self._pairing_rows = {}
         self.two_rho = tuple(
@@ -281,9 +288,13 @@ class RootDatum:
 
     def coroot_coords(self, vec):
         """Integer coordinates of vec in the simple coroots, or None: (A^T)^-1
-        of the pairings <vec, alpha_i>, if they add up to vec (off-span not)."""
+        of the pairings <vec, alpha_i>, if they add up to vec (off-span not).
+        Each vector is solved once."""
+        vec = tuple(vec)
+        if vec in self._coords:
+            return self._coords[vec]
         if len(vec) != self.rank:
-            raise InputError(f"coweight {tuple(vec)} does not have "
+            raise InputError(f"coweight {vec} does not have "
                              f"{self.rank} coordinates")
         if not hasattr(self, "_coroot_inverse"):
             # column k of (A^T)^-1 solves A^T x = e_k, alpha_k's own coords
@@ -295,22 +306,19 @@ class RootDatum:
         den, inv = self._coroot_inverse
         pairs = [dot(vec, a) for a in self.simple_roots]
         sums = [dot(row, pairs) for row in inv]
-        if any(x % den for x in sums):
-            return None
-        coords = tuple(x // den for x in sums)
-        if any(dot(coords, col) != v
-               for col, v in zip(zip(*self.simple_coroots), vec)):
-            return None
+        coords = None
+        if not any(x % den for x in sums):
+            coords = tuple(x // den for x in sums)
+            if any(dot(coords, col) != v
+                   for col, v in zip(zip(*self.simple_coroots), vec)):
+                coords = None
+        self._coords[vec] = coords
         return coords
 
     def in_coroot_cone(self, vec):
         """Is vec a nonnegative integer combination of simple coroots?"""
-        vec = tuple(vec)
-        hit = self._cone.get(vec)
-        if hit is None:
-            c = self.coroot_coords(vec)
-            hit = self._cone[vec] = c is not None and min(c) >= 0
-        return hit
+        c = self.coroot_coords(vec)
+        return c is not None and min(c) >= 0
 
     def pairing_row(self, lam):
         """The integers <lam, a> for a over ``roots``, one cached row per lam."""

@@ -5,7 +5,9 @@ pipeline helper, so the poset for a given (datum, coweight, K) is built and
 labeled exactly once per session.
 """
 
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -224,9 +226,18 @@ def test_07_bruhat_criteria(name, radius):
                f"on {checked} cases ({time.perf_counter() - t0:.1f}s)")
 
 
+# sha256 over the gateway data of every theorem-matrix element: z_min,
+# a_min^K, the words of Sigma_w and the K-compatible acute presentation.
+# Recorded while Sigma_w's and the reach set's least elements were still
+# proved by lifting walks; a faster search must leave it as it is.
+GATEWAY_SHA256 = ("5716b4d913fce08da3de785861c3ad29"
+                  "9d0320c6481c8b16aec6035979c89765")
+
+
 def test_08_gateway_minima():
     t0 = time.perf_counter()
     count = 0
+    h = hashlib.sha256()
     for name, mu, K in matrix_entries():
         poset, _, _ = pipeline(name, mu, K)
         W = poset.datum.weyl_group()
@@ -234,7 +245,14 @@ def test_08_gateway_minima():
             sd = compute_sigma(poset, w)  # internal cross-checks are the test
             assert all(W.bruhat_leq(sd.z_min, z) for z in sd.sigma_w)
             assert all(W.bruhat_leq(sd.a_min_K, b) for b in sd.sigma_w_JK)
+            p = sd.presentation
+            h.update(json.dumps([
+                w.name(), sd.z_min.word_str(), sd.a_min_K.word_str(),
+                [z.word_str() for z in sd.sigma_w],
+                [p.x.word_str(), list(p.lam), p.y.word_str()]]).encode())
+            h.update(b"\n")
             count += 1
+    assert h.hexdigest() == GATEWAY_SHA256
     _report(8, f"gateway data consistent on {count} elements "
                f"({time.perf_counter() - t0:.1f}s)")
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ from admshell import (AffineElement, InputError, PropertyViolation,
                       adm_membership, admissible, build_admissible,
                       build_label_order, compute_sigma, coxeter_subset,
                       label_edges, length_zero_rep, top_two_layer_report)
-from admshell.admissible import (_unique_min, canonical_K, double_coset_reps,
-                                 is_spherical)
-from admshell.affine import (acute_presentations, affine_reflection,
-                             bruhat_leq, covers_down, simple_reflection)
+from admshell.admissible import (_gateways, _unique_min, canonical_K,
+                                 double_coset_reps, is_spherical)
+from admshell.affine import (acute_presentation_K, acute_presentations,
+                             affine_reflection, bruhat_leq, covers_down,
+                             simple_reflection)
 from admshell import cli
 from admshell.cli import _parse_mu
+from admshell.exact import vec_sub
 from admshell.rootdata import AffineRoot
 from conftest import (affine_ball, datum, dominant_mus, matrix_entries,
                       pipeline)
@@ -257,13 +260,64 @@ def test_unique_min_least_element_and_failures():
     d = datum("A2")
     W = d.weyl_group()
     s1, s2 = W.simple(0), W.simple(1)
+    w0 = W.longest_element()
     w = AffineElement.from_finite(s1 * s2)
     assert _unique_min(W, [s1, s1 * s2, s2 * s1], "S", w) is s1
-    # an empty set, and two minimal elements, each name the poset element
-    for elems in ([], [s1, s2]):
+    # a least element whose set is not an up-set: the search climbs past
+    # the missing length-two elements
+    assert _unique_min(W, [w0, s2], "S", w) is s2
+    assert _unique_min(W, [s1], "S", w) is s1
+    # an empty set, two minimal elements of one length (alone, or with a
+    # common upper bound) and of two lengths each name the poset element
+    W3 = datum("A3").weyl_group()
+    t1, t2, t3 = W3.simples
+    for group, elems in [(W, []), (W, [s1, s2]), (W, [s1, w0, s2]),
+                         (W3, [t2 * t3, t1])]:
         with pytest.raises(PropertyViolation) as err:
+            _unique_min(group, elems, "S", w)
+        assert str(err.value) == f"{w.name()}: S " + (
+            "has no least element" if elems else "is empty")
+
+
+def _least_by_walks(W, elems):
+    """The member below every member by lifting walks, or None."""
+    return next((z for z in elems
+                 if all(W.bruhat_leq(z, x) for x in elems)), None)
+
+
+def _check_unique_min(W, elems, w):
+    least = _least_by_walks(W, elems)
+    if least is None:
+        with pytest.raises(PropertyViolation):
             _unique_min(W, elems, "S", w)
-        assert str(err.value).startswith(w.name())
+    else:
+        assert _unique_min(W, elems, "S", w) is least
+
+
+def test_unique_min_matches_the_lifting_walks():
+    # the upward search against one lifting walk per pair: on every reach
+    # set and every Sigma_w^{J,K} of the theorem matrix and both parahoric
+    # rows, then on seeded subsets of W(A3) and W(B3) of every shape
+    posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()]
+    posets += parahoric_full_posets()
+    for poset in posets:
+        d = poset.datum
+        W, g = d.weyl_group(), d.qbg()
+        for w in poset.elements:
+            pres = acute_presentation_K(w, poset.K)
+            gap = vec_sub(poset.mu, pres.lam)
+            reach = [z for z in W
+                     if d.in_coroot_cone(vec_sub(gap, g.wt(pres.x, z)))]
+            for elems in (reach, _gateways(poset, w)):
+                assert _least_by_walks(W, elems) is not None
+                _check_unique_min(W, elems, w)
+    rng = random.Random(7)
+    for name in ("A3", "B3"):
+        W = datum(name).weyl_group()
+        w = AffineElement.identity(datum(name))
+        for size in range(1, 9):
+            for _ in range(40):
+                _check_unique_min(W, rng.sample(W.elements, size), w)
 
 
 def _top_two(poset, order):
@@ -318,11 +372,8 @@ def test_gateway_labels_match_the_reference_reflection_root():
     # the report reads each label off the poset's cover t_min -> w; the
     # reflection w^-1 t_min, decoded by the reference formula, is the oracle
     posets = [pipeline(name, mu, K)[:2] for name, mu, K in matrix_entries()]
-    for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
-                               ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
-        d = datum(name)
-        poset = build_admissible(d, _parse_mu(d, mu, basis), K.split(","))
-        posets.append((poset, build_label_order(poset)))
+    posets += [(poset, build_label_order(poset))
+               for poset in parahoric_full_posets()]
     rows = 0
     for poset, order in posets:
         d = poset.datum
@@ -406,11 +457,7 @@ def test_double_coset_reps_match_the_full_product_set():
     # product p z u with u in W_J; z runs over all of W, so over every z_min
     posets = [pipeline(name, mu, K)[0] for name, mu, K in matrix_entries()
               if name in ("GL3", "B2", "G2")]
-    for name, mu, basis, K in [("A4", "1,1,1,1", "coroot", "a1,a2,a3,a4"),
-                               ("D4-adjoint", "1,0,0,0", "fw", "a1,a3,a4")]:
-        d = datum(name)
-        posets.append(build_admissible(d, _parse_mu(d, mu, basis),
-                                       K.split(",")))
+    posets += parahoric_full_posets()
     seen = set()
     for poset in posets:
         key = (poset.datum.name, poset.J, poset.K)

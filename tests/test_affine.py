@@ -401,6 +401,7 @@ def test_acute_presentation_K_failure_names_the_element(monkeypatch):
     d = datum("GL3")
     K = (AffineRoot(d.simple_roots[0], 0),)
     tau = length_zero_rep(AffineElement.translation_of(d, (1, 0, 0)))
-    monkeypatch.setattr(admshell.affine, "_acute_pairs", lambda w: iter(()))
+    monkeypatch.setattr(admshell.affine, "_acute_pairs",
+                        lambda w, cols=(): iter(()))
     with pytest.raises(PropertyViolation, match=re.escape(tau.name())):
         acute_presentation_K(tau, K)

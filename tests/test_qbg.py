@@ -66,6 +66,17 @@ def test_wt_zero_iff_bruhat_leq():
                 assert (g.wt(u, v) == zero) == W.bruhat_leq(u, v)
 
 
+def test_up_edges_are_the_bruhat_covers():
+    # the lifting walks of bruhat_leq decide each cover
+    for name in ["A3", "B3", "G2"]:
+        g = datum(name).qbg()
+        W = g.group
+        for i, u in enumerate(W):
+            covers = [j for j, v in enumerate(W)
+                      if v.length == u.length + 1 and W.bruhat_leq(u, v)]
+            assert sorted(g.up[i]) == covers
+
+
 def test_all_shortest_paths():
     d = datum("A2")
     g = d.qbg()

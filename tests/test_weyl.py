@@ -5,7 +5,8 @@ import pytest
 from admshell import InputError, build_root_datum, weyl
 from admshell.cli import main
 from admshell.weyl import group_order
-from conftest import datum
+from admshell.rootdata import RootDatum
+from conftest import EXPLICIT_DATA, datum
 from weyl_reference import MatrixWeylGroup
 
 
@@ -62,6 +63,31 @@ def test_group_above_the_bound_is_an_input_error(monkeypatch, capsys):
     assert main(["qbg", "--datum", "A2"]) == 2
     assert capsys.readouterr().err == ("error: the Weyl group of A2 has order "
                                        "6, above the limit of 5\n")
+
+
+def test_rank_above_the_bound_is_rejected_before_the_roots(monkeypatch,
+                                                           capsys):
+    # |W| >= 2^rank, so A30 is refused with no root generated; the largest
+    # groups under the bound still get their data built
+    built = []
+    real = RootDatum._build_roots
+
+    def counted(self):
+        built.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(RootDatum, "_build_roots", counted)
+    assert main(["qbg", "--datum", "A30"]) == 2
+    assert capsys.readouterr().err == ("error: the Weyl group of A30 has "
+                                       "order at least 2^30, above the limit "
+                                       "of 1000000\n")
+    assert built == []
+    n = len(EXPLICIT_DATA["E6"])
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    build_root_datum("A8")
+    build_root_datum({"simple_roots": units,
+                      "simple_coroots": EXPLICIT_DATA["E6"], "name": "E6"})
+    assert built == ["A8", "E6"]
 
 
 def test_multiply_invert_apply():
